@@ -27,8 +27,7 @@ against the shipped schemas/cli_output.schema.json.
 
 Exit status: 0 success, 2 domain or model error, 3 budget error.
 Errors print a one-line JSON record {"error": <class>, "message": ...}
-to stderr.  LOOKBACK_THREADS caps the per-n fan-out (0 = auto); rows
-are always emitted in ascending-n order regardless of thread count.
+to stderr.  Rows are emitted in ascending-n order.
 """
 
 from __future__ import annotations
@@ -38,12 +37,10 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Literal, TypeVar
+from typing import Literal
 
 from .asymptotics import expansion_coeffs, expansion_price
 from .binom_expansion import cdf_expansion
@@ -89,10 +86,6 @@ TABLE_MARKETS: dict[str, tuple[MarketState, Side]] = {
            "put"),
 }
 
-_T = TypeVar("_T")
-_U = TypeVar("_U")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One pricing run: a market, a side, a period grid, and a method."""
@@ -136,28 +129,6 @@ class TableRow:
     coeff2: float
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("LOOKBACK_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(
-            f"LOOKBACK_THREADS must be a nonnegative integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise DomainError(f"LOOKBACK_THREADS must be >= 0, got {value}")
-    return None if value == 0 else value
-
-
-def _fan_out(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
-    """Apply fn to every item, preserving input order in the result."""
-    cap = _thread_cap()
-    if cap == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_price(config: RunConfig) -> list[tuple[int, float]]:
     """One (n, price) row per entry of config.n_values."""
     market, side = config.market, config.side
@@ -172,8 +143,7 @@ def cmd_price(config: RunConfig) -> list[tuple[int, float]]:
         "reduced": lambda n: price_closed_reduced(market, n, side),
         "tree": lambda n: price_backward_induction(market, n, side),
     }[config.method]
-    prices = _fan_out(per_n, config.n_values)
-    return list(zip(config.n_values, prices))
+    return [(n, per_n(n)) for n in config.n_values]
 
 
 def cmd_table(table_id: TableId) -> list[TableRow]:
@@ -192,7 +162,7 @@ def cmd_table(table_id: TableId) -> list[TableRow]:
             coeff1=exp.c1, scaled2=scaled2, coeff2=exp.c2_at(n),
         )
 
-    return _fan_out(build_row, TABLE_N_VALUES)
+    return [build_row(n) for n in TABLE_N_VALUES]
 
 
 def cmd_figure5(n_max: int) -> list[tuple[int, float, float]]:
@@ -201,9 +171,8 @@ def cmd_figure5(n_max: int) -> list[tuple[int, float, float]]:
         raise DomainError(f"n_max must be in [2, {SERIES_MAX_N}], got {n_max}")
     market, side = TABLE_MARKETS["T1"]
     constant = bs_price(market, side)
-    ns = range(2, n_max + 1)
-    prices = _fan_out(lambda n: price_closed_reduced(market, n, side), ns)
-    return [(n, price, constant) for n, price in zip(ns, prices)]
+    return [(n, price_closed_reduced(market, n, side), constant)
+            for n in range(2, n_max + 1)]
 
 
 def cmd_cdf_bench(
@@ -229,7 +198,7 @@ def cmd_cdf_bench(
         err = abs(exact - approx)
         return (n, exact, approx, err, err * n**2.5)
 
-    return _fan_out(build_row, list(n_list))
+    return [build_row(n) for n in n_list]
 
 
 def _format_number(value: float) -> str:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .lattice import MarketState, Side
 from .numerics import std_normal_cdf, std_normal_pdf
 
@@ -101,8 +100,6 @@ def bs_terms(market: MarketState, side: Side) -> BsTerms:
 
 def bs_price(market: MarketState, side: Side) -> float:
     """Continuous-model lookback price, dispatching on rate == 0 and side."""
-    if side not in ("call", "put"):
-        raise DomainError(f"side must be 'call' or 'put', got {side!r}")
     t = bs_terms(market, side)
     spot, extremum = market.spot, market.extremum
     if market.rate == 0.0:

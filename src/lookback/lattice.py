@@ -17,7 +17,7 @@ Three prices of the same quantity are implemented:
 * ``price_closed``: the literal triple-sum formula S (V1 - V2 + V3) with
   reflection-principle path counts, O(n^2) terms;
 * ``price_closed_reduced``: the same value rearranged into complementary
-  binomial CDFs, O(n) time, stable to ~1e-12 at n = 1e5;
+  binomial CDFs, O(sqrt(n)) time per CDF, stable to ~1e-12 at n = 1e5;
 * ``price_backward_induction``: risk-neutral dynamic programming on the
   level lattice, an independent O(n^2) oracle.
 
@@ -84,6 +84,10 @@ class MarketState:
     tau: float
 
     def __post_init__(self) -> None:
+        for name in ("spot", "extremum", "sigma", "rate", "tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not (self.spot > 0.0):
             raise DomainError(f"spot must be positive, got {self.spot}")
         if not (self.extremum > 0.0):
@@ -96,7 +100,10 @@ class MarketState:
             raise DomainError(f"tau must be positive, got {self.tau}")
 
     def require_side(self, side: Side) -> None:
-        """Running-extremum consistency: min <= spot for calls, max >= spot for puts."""
+        """side is "call" or "put", and the extremum is consistent with it:
+        min <= spot for calls, max >= spot for puts."""
+        if side not in ("call", "put"):
+            raise DomainError(f"side must be 'call' or 'put', got {side!r}")
         if side == "call" and self.extremum > self.spot:
             raise DomainError(
                 f"call requires extremum <= spot (running minimum), "
@@ -417,7 +424,8 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     double sum telescopes into geometric combinations of CDFs with
     ratios Q = q/(1-q) and P = p/(1-p) for r > 0, and into the separate
     rate-zero form (using k C(n,k) = n C(n-1,k-1)) when the geometric
-    ratios degenerate to 1.  O(n) time; stable at n = 1e5.
+    ratios degenerate to 1.  Seven CDFs of O(sqrt(n)) time each (see
+    ``binom_cdf_exact``); stable at n = 1e5.
 
     Branch dispatch is on rate == 0.0 exactly, never an epsilon: the two
     cases are distinct exact formulas and their r -> 0 continuity is a

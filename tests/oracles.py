@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: exact rational arithmetic via
-fractions.Fraction and math.comb, and O(2^n) per-path enumeration over
-itertools.product.  None of it shares code with the package under test.
+fractions.Fraction and math.comb, 40-digit mpmath sums, and O(2^n)
+per-path enumeration over itertools.product.  None of it shares code
+with the package under test.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import mpmath as mp
 
 
 def binom_pmf_exact(n: int, p: float, k: int) -> Fraction:
@@ -36,6 +39,30 @@ def binom_cdf_upper_exact(n: int, p: float, j: int) -> Fraction:
         return Fraction(0)
     lo = max(j + 1, 0)
     return sum(binom_pmf_exact(n, p, k) for k in range(lo, n + 1))
+
+
+def binom_tail_mp(n: int, p: float, j: int, lower: bool) -> mp.mpf:
+    """P(X <= j) if lower else P(X > j), X ~ Bin(n, p), in 40 digits.
+
+    Sums outward from the tail's inner end (j, or j + 1 for the upper
+    tail) and stops once a term falls below 1e-40 of the running total;
+    meant for a tail that lies beyond the mode, where the terms fall
+    geometrically.
+    """
+    with mp.workdps(40):
+        pm = mp.mpf(p)
+        k = j if lower else j + 1
+        term = mp.binomial(n, k) * pm**k * (1 - pm) ** (n - k)
+        total = term
+        while 0 < k < n and term > total * mp.mpf(10) ** -40:
+            if lower:
+                term *= k * (1 - pm) / ((n - k + 1) * pm)
+                k -= 1
+            else:
+                term *= (n - k) * pm / ((k + 1) * (1 - pm))
+                k += 1
+            total += term
+        return +total
 
 
 def walk_level_paths(j0: Fraction, n: int) -> dict[tuple[Fraction, int], int]:

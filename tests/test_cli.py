@@ -224,10 +224,9 @@ class TestMainOutput:
         (_, want), = cmd_price(_config(n_values=(100,)))
         assert abs(payload["rows"][0]["price"] - want) <= 1e-8
 
-    def test_runs_are_deterministic(self, tmp_path, monkeypatch):
+    def test_runs_are_deterministic(self, tmp_path):
         paths = []
-        for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
-            monkeypatch.setenv("LOOKBACK_THREADS", threads)
+        for tag in ("a", "b", "c"):
             path = tmp_path / f"{tag}.csv"
             assert main(["figure5", "--n-max", "40", "--out", str(path)]) == 0
             paths.append(path.read_bytes())
@@ -258,6 +257,14 @@ class TestMainErrors:
                      "call", "--n", "1"])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ModelError"
+
+    def test_nonfinite_spot_exits_2(self, capsys):
+        args = PRICE_ARGS + ["--n", "100"]
+        args[args.index("--spot") + 1] = "inf"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "DomainError"
 
     def test_budget_error_exits_3(self, capsys):
         code = main(PRICE_ARGS + ["--n", "100,6000", "--method", "tree"])

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from lookback import (
     MarketState,
+    bs_price,
+    expansion_coeffs,
     iter_path_counts,
     path_count,
     path_count_enumerate,
@@ -70,6 +72,27 @@ class TestMarketState:
         base.update(kwargs)
         with pytest.raises(DomainError):
             MarketState(**base)
+
+    @pytest.mark.parametrize("field", ["spot", "extremum", "sigma", "rate", "tau"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_fields_raise(self, field, value):
+        base = dict(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
+        base[field] = value
+        with pytest.raises(DomainError):
+            MarketState(**base)
+
+    @pytest.mark.parametrize("pricer", [
+        lambda side: price_closed(T1, 50, side),
+        lambda side: price_closed_reduced(T1, 100, side),
+        lambda side: price_backward_induction(T1, 50, side),
+        lambda side: bs_price(T1, side),
+        lambda side: expansion_coeffs(T1, side),
+    ], ids=["closed", "reduced", "tree", "bs", "expansion"])
+    @pytest.mark.parametrize("side", ["CALL", "Put", "", "straddle"])
+    def test_unknown_side_raises(self, pricer, side):
+        """An unknown side is refused, not priced as the other side."""
+        with pytest.raises(DomainError):
+            pricer(side)
 
     def test_require_side(self):
         """Calls need extremum <= spot (running min); puts the reverse."""

@@ -23,7 +23,12 @@ from lookback import (
 )
 from lookback.errors import ConvergenceError, DomainError
 
-from .oracles import binom_cdf_lower_exact, binom_cdf_upper_exact, binom_pmf_exact
+from .oracles import (
+    binom_cdf_lower_exact,
+    binom_cdf_upper_exact,
+    binom_pmf_exact,
+    binom_tail_mp,
+)
 
 
 class TestQuadratureSpec:
@@ -147,19 +152,52 @@ class TestBinomCdf:
         ref = float(binom_cdf_lower_exact(20, 0.3, 6))
         assert abs(binom_cdf_exact(20, 0.3, 6) - ref) <= 1e-14
 
-    @pytest.mark.parametrize("n,p,j", [(50, 0.37, 11), (120, 0.81, 101), (400, 0.5, 173)])
+    # The n = 3000 rows put j 11.8 to 12.2 sd and 20 sd from np: in the tail
+    # the function sums, where the bulk window [np - 12 sd - 10,
+    # np + 12 sd + 10] ends, and beyond the window on the bulk side.  The
+    # upper rows mirror the lower ones (j -> n - 1 - j, p -> 1 - p).  Dyadic
+    # p keeps the rational oracle fast.
+    @pytest.mark.parametrize("n,p,j", [
+        (50, 0.37, 11), (120, 0.81, 101), (400, 0.5, 173),
+        (3000, 0.5, 1165), (3000, 0.25, 470), (3000, 0.375, 807),
+        (3000, 0.5, 952), (3000, 0.5, 1835), (3000, 0.5, 2048),
+    ])
     def test_lower_tail_matches_rational_oracle(self, n, p, j):
         ref = float(binom_cdf_lower_exact(n, p, j))
-        assert abs(binom_cdf_exact(n, p, j) - ref) <= 1e-13 * max(1.0, ref)
+        assert abs(binom_cdf_exact(n, p, j) - ref) <= 1e-13 * ref
 
-    @pytest.mark.parametrize("n,p,j", [(50, 0.37, 11), (120, 0.81, 101), (400, 0.5, 173)])
+    @pytest.mark.parametrize("n,p,j", [
+        (50, 0.37, 11), (120, 0.81, 101), (400, 0.5, 173),
+        (3000, 0.5, 1834), (3000, 0.75, 2529), (3000, 0.625, 2192),
+        (3000, 0.5, 2047), (3000, 0.5, 1164), (3000, 0.5, 951),
+    ])
     def test_upper_tail_matches_rational_oracle(self, n, p, j):
         ref = float(binom_cdf_upper_exact(n, p, j))
-        assert abs(binom_cdf_complement(n, p, j) - ref) <= 1e-13 * max(1.0, ref)
+        assert abs(binom_cdf_complement(n, p, j) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("n", [10_000, 100_000, 1_000_000])
+    @pytest.mark.parametrize("z", [11.0, 12.5, 13.0, 20.0, 25.0])
+    def test_tails_match_mpmath(self, n, z):
+        """Both functions z sd into either tail, against 40-digit sums; on
+        the bulk side each is one minus the other tail's reference."""
+        p = 0.3
+        sd = math.sqrt(n * p * (1.0 - p))
+        below = int(n * p - z * sd)
+        above = int(n * p + z * sd)
+        low = binom_tail_mp(n, p, below, lower=True)
+        high = binom_tail_mp(n, p, above, lower=False)
+        cases = [
+            (binom_cdf_exact(n, p, below), low),
+            (binom_cdf_complement(n, p, above), high),
+            (binom_cdf_exact(n, p, above), 1 - high),
+            (binom_cdf_complement(n, p, below), 1 - low),
+        ]
+        for got, ref in cases:
+            assert abs(got - float(ref)) <= 1e-12 * float(ref), (got, float(ref))
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(min_value=1, max_value=1000),
+        n=st.integers(min_value=1, max_value=200_000),
         p=st.floats(min_value=0.05, max_value=0.95),
         data=st.data(),
     )
