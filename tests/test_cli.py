@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 
 import jsonschema
 import pytest
@@ -231,6 +232,16 @@ class TestMainOutput:
             assert main(["figure5", "--n-max", "40", "--out", str(path)]) == 0
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+
+    def test_rewrite_replaces_a_longer_file(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        out.write_text("x" * 10_000, encoding="utf-8")
+        assert main(PRICE_ARGS + ["--n", "2..5", "--out", str(out)]) == 0
+        assert main(PRICE_ARGS + ["--n", "2..5"]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    def test_out_to_a_character_device(self):
+        assert main(PRICE_ARGS + ["--n", "2", "--out", os.devnull]) == 0
 
     def test_cdf_bench_csv(self, capsys):
         code = main(["cdf-bench", "--n", "200,400", "--p-base", "0.5",
