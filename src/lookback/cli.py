@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -44,10 +45,10 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Literal
 
-from .asymptotics import expansion_coeffs, expansion_price
+from .asymptotics import expansion_coeffs, expansion_price, residual_scan
 from .binom_expansion import cdf_expansion
 from .continuous import bs_price
-from .errors import BudgetError, DomainError, LookbackError, ModelError
+from .errors import BudgetError, DomainError, LookbackError
 from .lattice import (
     MarketState,
     Side,
@@ -96,8 +97,6 @@ class RunConfig:
     side: Side
     n_values: tuple[int, ...]
     method: Method
-    output_format: OutputFormat = "csv"
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.n_values:
@@ -154,17 +153,12 @@ def cmd_table(table_id: TableId) -> list[TableRow]:
         raise DomainError(f"table_id must be one of T1..T4, got {table_id!r}")
     market, side = TABLE_MARKETS[table_id]
     exp = expansion_coeffs(market, side)
-
-    def build_row(n: int) -> TableRow:
-        price_n = price_closed_reduced(market, n, side)
-        scaled1 = (price_n - exp.c0) * math.sqrt(n)
-        scaled2 = (price_n - exp.c0 - exp.c1 / math.sqrt(n)) * n
-        return TableRow(
-            n=n, price_n=price_n, price_bs=exp.c0, scaled1=scaled1,
-            coeff1=exp.c1, scaled2=scaled2, coeff2=exp.c2_at(n),
-        )
-
-    return [build_row(n) for n in TABLE_N_VALUES]
+    return [
+        TableRow(n=n, price_n=price_n, price_bs=price_bs, scaled1=scaled1,
+                 coeff1=exp.c1, scaled2=scaled2, coeff2=exp.c2_at(n))
+        for n, price_n, price_bs, scaled1, scaled2
+        in residual_scan(market, side, TABLE_N_VALUES)
+    ]
 
 
 def cmd_figure5(n_max: int) -> list[tuple[int, float, float]]:
@@ -295,7 +289,9 @@ def _add_market_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--side", choices=("call", "put"), required=True)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="lookback",
         description="Floating-strike lookback pricing and CDF-expansion benchmarks.",
@@ -339,10 +335,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             market = MarketState(spot=args.spot, extremum=args.extremum,
                                  sigma=args.sigma, rate=args.rate, tau=args.tau)
             config = RunConfig(market=market, side=args.side, n_values=args.n,
-                               method=args.method, output_format=args.format,
-                               output_path=args.out)
+                               method=args.method)
             _emit("lookback.price.v1", ("n", "price"), cmd_price(config),
-                  config.output_format, config.output_path)
+                  args.format, args.out)
         elif args.command == "table":
             rows = [
                 (r.n, r.price_n, r.price_bs, r.scaled1, r.coeff1, r.scaled2, r.coeff2)
@@ -363,9 +358,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetError as exc:
         _print_error(exc)
         return 3
-    except (DomainError, ModelError) as exc:
-        _print_error(exc)
-        return 2
     except LookbackError as exc:
         _print_error(exc)
         return 2

@@ -92,6 +92,13 @@ class MarketState:
             raise DomainError(f"spot must be positive, got {self.spot}")
         if not (self.extremum > 0.0):
             raise DomainError(f"extremum must be positive, got {self.extremum}")
+        # the lattice level is log(spot/extremum) or its negative
+        if not (0.0 < self.spot / self.extremum < math.inf
+                and 0.0 < self.extremum / self.spot < math.inf):
+            raise DomainError(
+                f"spot/extremum must be finite and positive both ways, "
+                f"got spot={self.spot}, extremum={self.extremum}"
+            )
         if not (self.sigma > 0.0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if not (self.rate >= 0.0):
@@ -120,17 +127,34 @@ class MarketState:
 class TreeParams:
     """Per-n lattice quantities.
 
+    s = sigma sqrt(tau/n) is the log step, u = e^s, d = 1/u, um1 = u - 1.
     p_up is the risk-neutral up probability (e^{r tau/n} - d)/(u - d);
     q_adj = p_up u e^{-r tau/n} is the adjusted weight under which the
     lookback price is S_t times an expectation over terminal levels.
     j0 = j0_floor + j0_frac after integer snapping; kappa = {j0}(1 - {j0}).
+
+    The reduced closed form needs the ratios Q = q/(1-q), P = p/(1-p)
+    (q = q_adj, p = p_up) and the combinations that vanish as n grows:
+    Qm1 = Q - 1, Pm1 = P - 1, Qdm1 = Q d - 1 and uWm1 = u/Q - 1.  Each is
+    assembled from expm1/sinh differences, so it keeps full relative
+    precision where the naive difference would lose it (at n = 1e7,
+    P - 1, Q d - 1 or u/Q - 1 formed from the float ratios is off by
+    3e-13 to 4e-13 relative).
     """
 
     n: int
+    s: float
     u: float
     d: float
+    um1: float
     p_up: float
     q_adj: float
+    P: float
+    Q: float
+    Pm1: float
+    Qm1: float
+    Qdm1: float
+    uWm1: float
     j0: float
     j0_floor: int
     j0_frac: float
@@ -192,14 +216,22 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     ep = math.expm1(market.rate * dt)
     em = math.expm1(-market.rate * dt)
     ud = 2.0 * math.sinh(s)  # u - d without cancellation
-    p_up = (ep - dm1) / ud
-    q_adj = (um1 - em) / ud
+    a = 4.0 * math.sinh(0.5 * s) ** 2  # u + d - 2, likewise
+    p = (ep - dm1) / ud
+    q = (um1 - em) / ud
+    one_m_p = (um1 - ep) / ud
+    one_m_q = (em - dm1) / ud
+    two_q_m1 = (a - 2.0 * em) / ud
+    two_p_m1 = (2.0 * ep - a) / ud
     raw_j0 = _initial_level(market, side) / s
     floor, frac = _split_level(raw_j0)
-    j0 = floor + frac
     return TreeParams(
-        n=n, u=u, d=d, p_up=p_up, q_adj=q_adj,
-        j0=j0, j0_floor=floor, j0_frac=frac, kappa=frac * (1.0 - frac),
+        n=n, s=s, u=u, d=d, um1=um1, p_up=p, q_adj=q,
+        P=p / one_m_p, Q=q / one_m_q,
+        Pm1=two_p_m1 / one_m_p, Qm1=two_q_m1 / one_m_q,
+        Qdm1=-(1.0 + d) * em / (em - dm1),
+        uWm1=(1.0 + u) * em / (ud * q),
+        j0=floor + frac, j0_floor=floor, j0_frac=frac, kappa=frac * (1.0 - frac),
     )
 
 
@@ -332,7 +364,7 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     binomials.  O(n^2) work, intended for n <= ~5000.
     """
     par = tree_params(market, n, side)
-    s = market.sigma * math.sqrt(market.tau / n)
+    s = par.s
     floor = par.j0_floor
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
     lw_up = math.log(w_up)
@@ -379,43 +411,6 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     return market.spot * (v1 - v2 + v3)
 
 
-class _ReducedScalars:
-    """Cancellation-free building blocks for the reduced closed form.
-
-    All quantities that vanish as n grows (2q - 1, Q - 1, Qd - 1, ...)
-    are assembled from expm1/sinh differences; u + d - 2 in particular is
-    4 sinh^2(s/2).  Powers like Q^{-(f+1)} go through exp(-(f+1) log1p(Q-1)).
-    """
-
-    def __init__(self, market: MarketState, n: int, side: Side) -> None:
-        par = tree_params(market, n, side)
-        dt = market.tau / n
-        s = market.sigma * math.sqrt(dt)
-        self.par = par
-        self.s = s
-        self.u = par.u
-        self.d = par.d
-        self.um1 = math.expm1(s)
-        dm1 = math.expm1(-s)
-        ep = math.expm1(market.rate * dt)
-        em = math.expm1(-market.rate * dt)
-        a = 4.0 * math.sinh(0.5 * s) ** 2  # u + d - 2
-        ud = 2.0 * math.sinh(s)            # u - d
-        self.p = (ep - dm1) / ud
-        self.q = (self.um1 - em) / ud
-        self.one_m_p = (self.um1 - ep) / ud
-        self.one_m_q = (em - dm1) / ud
-        two_q_m1 = (a - 2.0 * em) / ud
-        two_p_m1 = (2.0 * ep - a) / ud
-        self.Q = self.q / self.one_m_q
-        self.P = self.p / self.one_m_p
-        self.Qm1 = two_q_m1 / self.one_m_q
-        self.Pm1 = two_p_m1 / self.one_m_p
-        self.Qdm1 = -(1.0 + self.d) * em / (em - dm1)        # Q d - 1
-        self.uWm1 = (1.0 + self.u) * em / (ud * self.q)      # u/Q - 1
-        self.disc = math.exp(-market.rate * market.tau)
-
-
 def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     """Same value as ``price_closed`` via complementary binomial CDFs.
 
@@ -430,24 +425,25 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     Branch dispatch is on rate == 0.0 exactly, never an epsilon: the two
     cases are distinct exact formulas and their r -> 0 continuity is a
     tested property.  The r > 0 rearrangement is consequently
-    ill-conditioned for economically meaningless tiny rates (absolute
-    error ~ eps sigma^2 spot / (2 r), noticeable below r ~ 1e-9).
+    ill-conditioned for small rates (absolute error ~ eps sigma^2 spot /
+    (2 r)): against backward induction on the T1 call at n = 500 the
+    relative error is 1.3e-12 at r = 1e-4, 7.9e-11 at 1e-5, 5.1e-10 at
+    1e-6 and 1.4e-7 at 1e-8.
     """
-    sc = _ReducedScalars(market, n, side)
-    par = sc.par
+    par = tree_params(market, n, side)
     spot = market.spot
     floor = par.j0_floor
-    u, d, q, p = sc.u, sc.d, sc.q, sc.p
-    disc = sc.disc
+    u, d, q, p = par.u, par.d, par.q_adj, par.p_up
+    disc = math.exp(-market.rate * market.tau)
     j1 = n - (n + floor) // 2
     j2 = j1 + floor + 1
     j3 = j1 - 1
     n_inner = n - floor - 1
-    log_q_ratio = math.log1p(sc.Qm1)
-    log_p_ratio = math.log1p(sc.Pm1)
+    log_q_ratio = math.log1p(par.Qm1)
+    log_p_ratio = math.log1p(par.Pm1)
     if side == "call":
         # extremum/spot as u^{-j0}: consistent with the snapped level
-        ms_disc = math.exp(-par.j0 * sc.s) * disc
+        ms_disc = math.exp(-par.j0 * par.s) * disc
         v1 = (binom_cdf_complement(n, q, j1 - 1)
               - ms_disc * binom_cdf_complement(n, p, j1 - 1))
         if n_inner < 0:
@@ -456,31 +452,31 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
               - ms_disc * math.exp(-(floor + 1) * log_p_ratio)
               * binom_cdf_complement(n, p, j2 - 1))
         if market.rate == 0.0:
-            um1 = sc.um1
+            um1 = par.um1
             v3 = ((floor - n - 1.0 / um1)
                   * (binom_pmf(n, q, j3) - um1 * binom_cdf_exact(n, q, j3 - 1))
                   - 2.0 * u * binom_cdf_exact(n, q, j3 - 1)
-                  + math.exp(-(floor + 1) * sc.s) / um1
+                  + math.exp(-(floor + 1) * par.s) / um1
                   * (um1 * binom_cdf_exact(n, p, j3 - 1) + u * binom_pmf(n, p, j3))
                   + 2.0 * n * q
                   * (binom_pmf(n - 1, q, j3 - 1)
                      - um1 * binom_cdf_exact(n - 1, q, j3 - 2)))
         else:
-            log_qd_ratio = math.log1p(sc.Qdm1)
-            c_a = sc.Q * (1.0 - d) / (sc.Qm1 * sc.Qdm1)
-            c_b = math.exp(-(floor + 1) * log_q_ratio) / sc.Qm1
-            c_c = -disc * math.exp(-(floor + 1) * log_qd_ratio) / (d * sc.Qdm1)
+            log_qd_ratio = math.log1p(par.Qdm1)
+            c_a = par.Q * (1.0 - d) / (par.Qm1 * par.Qdm1)
+            c_b = math.exp(-(floor + 1) * log_q_ratio) / par.Qm1
+            c_c = -disc * math.exp(-(floor + 1) * log_qd_ratio) / (d * par.Qdm1)
             # Bin(j3) - Q Bin(j3-1) and friends, rewritten through the pmf at
             # j3 so the near-cancelling CDF pair never meets head on
-            pair_a = binom_pmf(n, q, j3) - sc.Qm1 * binom_cdf_exact(n, q, j3 - 1)
-            pair_b = (sc.Q * binom_pmf(n, 1.0 - q, j3)
-                      + sc.Qm1 * binom_cdf_exact(n, 1.0 - q, j3 - 1))
-            pair_c = (sc.P * binom_pmf(n, 1.0 - p, j3)
-                      + sc.Pm1 * binom_cdf_exact(n, 1.0 - p, j3 - 1))
+            pair_a = binom_pmf(n, q, j3) - par.Qm1 * binom_cdf_exact(n, q, j3 - 1)
+            pair_b = (par.Q * binom_pmf(n, 1.0 - q, j3)
+                      + par.Qm1 * binom_cdf_exact(n, 1.0 - q, j3 - 1))
+            pair_c = (par.P * binom_pmf(n, 1.0 - p, j3)
+                      + par.Pm1 * binom_cdf_exact(n, 1.0 - p, j3 - 1))
             v3 = c_a * pair_a + c_b * pair_b + c_c * pair_c
         return spot * (v1 - v2 + v3)
 
-    ms_disc = math.exp(par.j0 * sc.s) * disc
+    ms_disc = math.exp(par.j0 * par.s) * disc
     v1 = (ms_disc * binom_cdf_complement(n, 1.0 - p, j1 - 1)
           - binom_cdf_complement(n, 1.0 - q, j1 - 1))
     if n_inner < 0:
@@ -497,13 +493,13 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
               * (n_inner * binom_cdf_exact(n, p, j3)
                  - 2.0 * n * p * binom_cdf_exact(n - 1, p, j3 - 1))
               + d * binom_cdf_exact(n, p, j3)
-              - math.exp((floor + 1) * sc.s) * binom_cdf_exact(n, q, j3)
+              - math.exp((floor + 1) * par.s) * binom_cdf_exact(n, q, j3)
               + edge)
     else:
-        log_uw_ratio = math.log1p(sc.uWm1)
-        u2wm1 = u * sc.uWm1 + sc.um1  # u^2/Q - 1
-        c_a = (1.0 / sc.Q) * u2wm1 / sc.uWm1
-        c_b = -(sc.Qm1 / sc.Q) / sc.uWm1 - 1.0
+        log_uw_ratio = math.log1p(par.uWm1)
+        u2wm1 = u * par.uWm1 + par.um1  # u^2/Q - 1
+        c_a = (1.0 / par.Q) * u2wm1 / par.uWm1
+        c_b = -(par.Qm1 / par.Q) / par.uWm1 - 1.0
         v3 = (disc * c_a * math.exp(-(floor + 2) * log_uw_ratio)
               * binom_cdf_exact(n, p, j3)
               + c_b * binom_cdf_exact(n, 1.0 - q, j3)
@@ -530,7 +526,7 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
             f"price_backward_induction is limited to n <= {TREE_MAX_N}, got {n}"
         )
     par = tree_params(market, n, side)
-    s = market.sigma * math.sqrt(market.tau / n)
+    s = par.s
     floor, frac = par.j0_floor, par.j0_frac
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
     w_dn = 1.0 - w_up

@@ -127,28 +127,37 @@ def std_normal_pdf(y: float) -> float:
     return math.exp(-0.5 * y * y) / _SQRT_2PI
 
 
+def _stirlerr_series(x: float | np.ndarray) -> float | np.ndarray:
+    """stirlerr(x) for x >= 30 by its asymptotic series."""
+    x2 = x * x
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / x
+
+
 def _stirlerr(k: float) -> float:
     if k < 30:
         return float(_STIRLERR_TABLE[int(k)])
-    x2 = k * k
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / k
+    return _stirlerr_series(k)
+
+
+def _bd0_series(
+    x: float | np.ndarray, m: float, v: float | np.ndarray, terms: int
+) -> float | np.ndarray:
+    """(x - m) v + sum_{j=1}^{terms} 2 x v^{2j+1} / (2j + 1), the near-branch
+    series of bd0 with v = (x - m)/(x + m)."""
+    s = (x - m) * v
+    ej = 2.0 * x * v
+    v2 = v * v
+    for j in range(1, terms + 1):
+        ej = ej * v2
+        s = s + ej / (2 * j + 1)
+    return s
 
 
 def _bd0(x: float, m: float) -> float:
     """x log(x/m) + m - x, by series when x is near m to avoid cancellation."""
     if abs(x - m) < 0.1 * (x + m):
         v = (x - m) / (x + m)
-        s = (x - m) * v
-        ej = 2.0 * x * v
-        v2 = v * v
-        j = 1
-        while True:
-            ej *= v2
-            s_next = s + ej / (2 * j + 1)
-            if s_next == s:
-                return s_next
-            s = s_next
-            j += 1
+        return _bd0_series(x, m, v, _bd0_series_terms(abs(v)))
     return x * math.log(x / m) + m - x
 
 
@@ -191,9 +200,7 @@ def _stirlerr_vec(ks: np.ndarray) -> np.ndarray:
     out[small] = _STIRLERR_TABLE[ks[small].astype(np.int64)]
     big = ~small
     if big.any():
-        x = ks[big]
-        x2 = x * x
-        out[big] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / x
+        out[big] = _stirlerr_series(ks[big])
     return out
 
 
@@ -223,13 +230,7 @@ def _bd0_vec(xs: np.ndarray, m: float) -> np.ndarray:
     if near.any():
         x = xs[near]
         v = (x - m) / (x + m)
-        s = (x - m) * v
-        ej = 2.0 * x * v
-        v2 = v * v
-        for j in range(1, _bd0_series_terms(float(np.max(np.abs(v)))) + 1):
-            ej = ej * v2
-            s = s + ej / (2 * j + 1)
-        out[near] = s
+        out[near] = _bd0_series(x, m, v, _bd0_series_terms(float(np.max(np.abs(v)))))
     return out
 
 

@@ -65,6 +65,27 @@ def binom_tail_mp(n: int, p: float, j: int, lower: bool) -> mp.mpf:
         return +total
 
 
+def lattice_ratios_mp(sigma: float, rate: float, tau: float, n: int) -> dict[str, mp.mpf]:
+    """Q, P and their vanishing combinations, straight from the
+    definitions in 50 digits.
+
+    u = e^s with s = sigma sqrt(tau/n), d = 1/u, p = (e^{r tau/n} - d)/(u - d),
+    q = p u e^{-r tau/n}; Q = q/(1-q), P = p/(1-p), and the four
+    differences Q - 1, P - 1, Q d - 1 and u/Q - 1 taken directly, which
+    50 digits afford.
+    """
+    with mp.workdps(50):
+        dt = mp.mpf(tau) / n
+        s = mp.mpf(sigma) * mp.sqrt(dt)
+        u, d = mp.exp(s), mp.exp(-s)
+        growth = mp.exp(mp.mpf(rate) * dt)
+        p = (growth - d) / (u - d)
+        q = p * u / growth
+        big_q, big_p = q / (1 - q), p / (1 - p)
+        return {"Q": big_q, "P": big_p, "Qm1": big_q - 1, "Pm1": big_p - 1,
+                "Qdm1": big_q * d - 1, "uWm1": u / big_q - 1}
+
+
 def walk_level_paths(j0: Fraction, n: int) -> dict[tuple[Fraction, int], int]:
     """Count all 2^n up/down paths of the level process by endpoint.
 

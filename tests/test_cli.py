@@ -277,6 +277,16 @@ class TestMainErrors:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_overflowing_ratio_exits_2(self, capsys):
+        args = PRICE_ARGS + ["--n", "100"]
+        args[args.index("--spot") + 1] = "1e-300"
+        args[args.index("--extremum") + 1] = "1e300"
+        args[args.index("--side") + 1] = "put"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_budget_error_exits_3(self, capsys):
         code = main(PRICE_ARGS + ["--n", "100,6000", "--method", "tree"])
         assert code == 3

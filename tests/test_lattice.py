@@ -25,7 +25,7 @@ from lookback import (
 )
 from lookback.errors import BudgetError, DomainError, ModelError
 
-from .oracles import walk_level_paths, walk_price
+from .oracles import lattice_ratios_mp, walk_level_paths, walk_price
 
 T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
 T2 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.0, tau=1.27)
@@ -65,6 +65,10 @@ class TestMarketState:
         [
             {"spot": 0.0}, {"spot": -5.0}, {"extremum": 0.0},
             {"sigma": 0.0}, {"rate": -0.01}, {"tau": 0.0},
+            # spot/extremum or its inverse overflows, so the lattice level
+            # log(spot/extremum) is infinite
+            {"spot": 1e-300, "extremum": 1e300},
+            {"spot": 1e300, "extremum": 1e-300},
         ],
     )
     def test_invalid_fields_raise(self, kwargs):
@@ -142,6 +146,19 @@ class TestTreeParams:
         u, d = par.u, par.d
         assert math.isclose(par.q_adj, (u - math.exp(-0.08 * dt)) / (u - d), rel_tol=1e-12)
         assert math.isclose(par.p_up, (math.exp(0.08 * dt) - d) / (u - d), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [313, 10**7])
+    @pytest.mark.parametrize("market, side", [(T1, "call"), (T3, "put")],
+                             ids=["T1", "T3"])
+    def test_ratio_fields_against_mpmath(self, market, side, n):
+        """Q, P and the vanishing Q - 1, P - 1, Q d - 1, u/Q - 1 keep full
+        relative precision; at n = 1e7 forming them as P - 1, Q*d - 1 or
+        u/Q - 1 from the float Q, P loses 3e-13 to 4e-13."""
+        par = tree_params(market, n, side)
+        ref = lattice_ratios_mp(market.sigma, market.rate, market.tau, n)
+        for name, value in ref.items():
+            got = getattr(par, name)
+            assert abs(got - float(value)) <= 2e-15 * abs(float(value)), name
 
     def test_integer_level_snaps(self):
         """A spot/extremum ratio that is an exact power of u must give a
