@@ -3,7 +3,7 @@
 Exact n-period prices (direct sum, closed reduced form, backward
 induction), the continuous-model limits, the oscillating asymptotic
 expansion connecting the two, and a refined O(n^{-5/2}) normal
-approximation of the binomial CDF with its own oracles.
+approximation of the binomial CDF.
 """
 
 from __future__ import annotations
@@ -20,18 +20,13 @@ from .binom_expansion import (
     CdfExpansion,
     CdfLimit,
     SequenceCoeffs,
-    UspenskyContext,
-    appendix_identity_check,
     cdf_expansion,
     cdf_limit_classifier,
     complementary_expansion,
-    uspensky_J,
-    uspensky_cdf,
 )
 from .continuous import BsTerms, DValues, bs_price, bs_terms, d_values
 from .errors import (
     BudgetError,
-    ConvergenceError,
     DomainError,
     LookbackError,
     ModelError,
@@ -53,13 +48,10 @@ from .lattice import (
     tree_params,
 )
 from .numerics import (
-    QuadratureSpec,
     binom_cdf_complement,
     binom_cdf_exact,
     binom_pmf,
     binom_pmf_log,
-    hermite_poly,
-    integrate_adaptive,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -72,16 +64,12 @@ __all__ = [
     "DomainError",
     "ModelError",
     "BudgetError",
-    "ConvergenceError",
-    "QuadratureSpec",
     "std_normal_cdf",
     "std_normal_pdf",
     "binom_pmf_log",
     "binom_pmf",
     "binom_cdf_exact",
     "binom_cdf_complement",
-    "hermite_poly",
-    "integrate_adaptive",
     "Side",
     "PathClass",
     "MarketState",
@@ -109,12 +97,8 @@ __all__ = [
     "residual_scan",
     "CdfExpansion",
     "SequenceCoeffs",
-    "UspenskyContext",
     "CdfLimit",
     "cdf_expansion",
     "complementary_expansion",
-    "uspensky_J",
-    "uspensky_cdf",
     "cdf_limit_classifier",
-    "appendix_identity_check",
 ]

@@ -197,15 +197,16 @@ def expansion_price(exp: PriceExpansion, n: int) -> float:
 
 
 def residual_scan(
-    market: MarketState, side: Side, n_list: Sequence[int]
+    market: MarketState, side: Side, n_list: Sequence[int], exp: PriceExpansion
 ) -> list[tuple[int, float, float, float, float]]:
     """(n, price_n, c0, scaled1, scaled2) rows over n_list.
 
     scaled1 = (price_n - c0) sqrt(n) converges to c1; scaled2 =
     (price_n - c0 - c1/sqrt(n)) n tracks the oscillating c2(n).
-    price_n is the reduced closed form.
+    price_n is the reduced closed form; exp is the expansion of the same
+    market and side (``expansion_coeffs``), which callers also need for
+    c1 and c2(n).
     """
-    exp = expansion_coeffs(market, side)
     rows = []
     for n in n_list:
         price_n = price_closed_reduced(market, n, side)

@@ -1,6 +1,6 @@
 """Refined normal approximation of the binomial CDF.
 
-Three layers, each checkable against the exact summation:
+Two layers, each checkable against the exact summation:
 
 1. cdf_expansion: for X ~ Bin(n, p), with V = npq and the half-corrected
    standardization y = (j - np + 1/2)/sqrt(V),
@@ -25,22 +25,9 @@ Three layers, each checkable against the exact summation:
    E4 built from A = 2(alpha - a), C = 2(gamma - c), D = 2(delta - d),
    E = 2(epsilon - e); only B_n = 2(beta - b_n) varies with n.
 
-3. uspensky_J: the exact trigonometric-integral representation
-
-       Sum_{k=0}^{j} C(n,k) p^k q^{n-k} = J(y) - J(y'),
-       J(y) = (1/2 pi) Integral_0^pi rho^n
-              sin(y sqrt(V) phi - chi) / sin(phi/2) dphi,
-
-   with rho = |p e^{i phi} + q|, omega = arg(p e^{i phi} + q),
-   chi = n omega - n p phi, and y' = -(np + 1/2)/sqrt(V).  Being exact
-   (up to quadrature), it serves as an independent oracle for both
-   expansions.
-
-appendix_identity_check validates the Fourier-transform identities
-behind the expansion: (1/pi) Integral_0^inf x^m e^{-x^2/2} trig(yx) dx
-equals (-1)^{floor(m/2)} phi(y) H_m(y) with probabilists' Hermite
-polynomials (sine for odd m, cosine for even m >= 2, and the m = 0
-sine-over-x case giving Phi(y) - 1/2).
+The quadrature oracles for both layers (Uspensky's exact integral
+representation and the Hermite Fourier identities behind the expansion)
+live in tests/quadrature.py.
 """
 
 from __future__ import annotations
@@ -51,25 +38,15 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import DomainError
-from .numerics import (
-    QuadratureSpec,
-    hermite_poly,
-    integrate_adaptive,
-    std_normal_cdf,
-    std_normal_pdf,
-)
+from .numerics import std_normal_cdf, std_normal_pdf
 
 __all__ = [
     "CdfExpansion",
     "SequenceCoeffs",
-    "UspenskyContext",
     "CdfLimit",
     "cdf_expansion",
     "complementary_expansion",
-    "uspensky_J",
-    "uspensky_cdf",
     "cdf_limit_classifier",
-    "appendix_identity_check",
 ]
 
 CdfLimit = Literal["tends_to_zero", "tends_to_one", "central"]
@@ -272,77 +249,6 @@ def complementary_expansion(seq: SequenceCoeffs, n: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class UspenskyContext:
-    """Integrand ingredients of the exact representation for Bin(n, p)."""
-
-    n: int
-    p: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.p < 1.0:
-            raise DomainError(f"p must be in (0, 1), got {self.p}")
-
-    @property
-    def variance(self) -> float:
-        return self.n * self.p * (1.0 - self.p)
-
-    @property
-    def y_prime(self) -> float:
-        """Lower standardized endpoint -(np + 1/2)/sqrt(V)."""
-        return -(self.n * self.p + 0.5) / math.sqrt(self.variance)
-
-    def rho(self, phi: float) -> float:
-        """|p e^{i phi} + q|; equals 1 at phi = 0."""
-        q = 1.0 - self.p
-        return math.hypot(self.p * math.cos(phi) + q, self.p * math.sin(phi))
-
-    def omega(self, phi: float) -> float:
-        """arg(p e^{i phi} + q)."""
-        q = 1.0 - self.p
-        return math.atan2(self.p * math.sin(phi), self.p * math.cos(phi) + q)
-
-    def chi(self, phi: float) -> float:
-        """n omega(phi) - n p phi; vanishes to O(phi^3) at 0."""
-        return self.n * self.omega(phi) - self.n * self.p * phi
-
-
-def uspensky_J(
-    yval: float, n: int, p: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """J(y) = (1/2 pi) Integral_0^pi rho^n sin(y sqrt(V) phi - chi)/sin(phi/2) dphi.
-
-    The phi = 0 endpoint is removable: chi = O(phi^3), so the integrand
-    tends to the analytic limit 2 y sqrt(V), which is substituted
-    directly rather than nudging the lower bound (a nudge would bias
-    the value by O(epsilon)).
-    """
-    ctx = UspenskyContext(n=n, p=p)
-    sqrt_v = math.sqrt(ctx.variance)
-
-    def integrand(phi: float) -> float:
-        if phi == 0.0:
-            return 2.0 * yval * sqrt_v
-        return (ctx.rho(phi) ** n
-                * math.sin(yval * sqrt_v * phi - ctx.chi(phi))
-                / math.sin(0.5 * phi))
-
-    return integrate_adaptive(integrand, 0.0, math.pi, spec) / (2.0 * math.pi)
-
-
-def uspensky_cdf(
-    n: int, p: float, j: int, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """P(Bin(n, p) <= j) as J(y) - J(y') with the standardized endpoints."""
-    if not 0 <= j <= n:
-        raise DomainError(f"j must be in [0, {n}], got {j}")
-    ctx = UspenskyContext(n=n, p=p)
-    y = (j - n * p + 0.5) / math.sqrt(ctx.variance)
-    return uspensky_J(y, n, p, spec) - uspensky_J(ctx.y_prime, n, p, spec)
-
-
 def cdf_limit_classifier(p0: float, j_ratio: float) -> CdfLimit:
     """Limiting behavior of P(Bin(n, p0) <= j_ratio * n) as n grows.
 
@@ -360,37 +266,3 @@ def cdf_limit_classifier(p0: float, j_ratio: float) -> CdfLimit:
     if j_ratio > p0:
         return "tends_to_one"
     return "central"
-
-
-_APPENDIX_CUTOFF = 45.0  # x^11 e^{-x^2/2} < 1e-300 beyond; truncation is exact in floats
-
-
-def appendix_identity_check(
-    m: int, yval: float, spec: QuadratureSpec = QuadratureSpec()
-) -> tuple[float, float]:
-    """(lhs, rhs) of the Hermite Fourier identity of order m, 0 <= m <= 11.
-
-    lhs = (1/pi) Integral_0^inf x^m e^{-x^2/2} trig(yx) dx with sine for
-    odd m, cosine for even m >= 2, and sin(yx)/x for m = 0 (whose x = 0
-    limit is y).  rhs = Phi(y) - 1/2 for m = 0, else
-    (-1)^{floor(m/2)} phi(y) H_m(y).  The infinite upper bound is
-    truncated at x = 45, where the Gaussian factor already underflows.
-    """
-    if not 0 <= m <= 11:
-        raise DomainError(f"m must be in [0, 11], got {m}")
-    if m == 0:
-        def integrand(x: float) -> float:
-            if x == 0.0:
-                return yval
-            return math.exp(-0.5 * x * x) * math.sin(yval * x) / x
-
-        rhs = std_normal_cdf(yval) - 0.5
-    else:
-        trig = math.sin if m % 2 == 1 else math.cos
-
-        def integrand(x: float) -> float:
-            return x**m * math.exp(-0.5 * x * x) * trig(yval * x)
-
-        rhs = (-1.0) ** (m // 2) * std_normal_pdf(yval) * hermite_poly(m, yval)
-    lhs = integrate_adaptive(integrand, 0.0, _APPENDIX_CUTOFF, spec) / math.pi
-    return lhs, rhs

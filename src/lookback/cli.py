@@ -75,7 +75,11 @@ Method = Literal["closed", "reduced", "tree", "expansion", "bs"]
 OutputFormat = Literal["csv", "json"]
 TableId = Literal["T1", "T2", "T3", "T4"]
 
-SERIES_MAX_N = 5000  # per-n O(n) methods refuse larger grids
+# Largest n for the lattice oracles and for figure5's n_max.  The tree
+# costs O(n^2) per n (TREE_MAX_N), and closed, though O(n) per n, is
+# held to the range where it is checked against the tree; a whole grid
+# 1..N then costs O(N^2) either way.
+SERIES_MAX_N = 5000
 
 TABLE_N_VALUES = (1000, 5000, 10000, 50000, 100000)
 TABLE_MARKETS: dict[str, tuple[MarketState, Side]] = {
@@ -157,7 +161,7 @@ def cmd_table(table_id: TableId) -> list[TableRow]:
         TableRow(n=n, price_n=price_n, price_bs=price_bs, scaled1=scaled1,
                  coeff1=exp.c1, scaled2=scaled2, coeff2=exp.c2_at(n))
         for n, price_n, price_bs, scaled1, scaled2
-        in residual_scan(market, side, TABLE_N_VALUES)
+        in residual_scan(market, side, TABLE_N_VALUES, exp)
     ]
 
 

@@ -2,8 +2,7 @@
 
 Three failure families map onto the CLI exit discipline: invalid inputs
 and unusable model parameters exit with status 2, exceeded work budgets
-(including quadrature that fails to converge within its subdivision cap)
-exit with status 3.
+(enumeration size, tree size, the CLI's period caps) exit with status 3.
 """
 
 from __future__ import annotations
@@ -23,13 +22,4 @@ class ModelError(LookbackError, ValueError):
 
 
 class BudgetError(LookbackError, RuntimeError):
-    """A work cap was exceeded (enumeration size, tree size, subdivision limit)."""
-
-
-class ConvergenceError(BudgetError):
-    """Adaptive quadrature failed to meet its tolerance within the allowed
-    subdivisions.  Carries the best estimate so callers can inspect it."""
-
-    def __init__(self, message: str, best_estimate: float) -> None:
-        super().__init__(message)
-        self.best_estimate = best_estimate
+    """A work cap was exceeded (enumeration size, tree size, period cap)."""

@@ -14,10 +14,14 @@ path is absorbed.
 
 Three prices of the same quantity are implemented:
 
-* ``price_closed``: the literal triple-sum formula S (V1 - V2 + V3) with
-  reflection-principle path counts, O(n^2) terms;
+* ``price_closed``: the triple-sum formula S (V1 - V2 + V3) with
+  reflection-principle path counts, every weight read from one binomial
+  pmf row and the absorbed double sum folded into prefix sums, O(n);
 * ``price_closed_reduced``: the same value rearranged into complementary
-  binomial CDFs, O(sqrt(n)) time per CDF, stable to ~1e-12 at n = 1e5;
+  binomial CDFs, O(sqrt(n)) time per CDF.  Against ``price_closed`` on
+  the four table markets it stays within 2.5e-13 relative at n = 1e4,
+  1e5 and 1e6, except on the zero-rate branch: the call reads -2.0e-12,
+  -1.5e-11 and +9.1e-11 there, the put -1.2e-13, -6.5e-13 and +1.3e-11;
 * ``price_backward_induction``: risk-neutral dynamic programming on the
   level lattice, an independent O(n^2) oracle.
 
@@ -36,10 +40,14 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BudgetError, DomainError, ModelError
-from .numerics import binom_cdf_complement, binom_cdf_exact, binom_pmf
+from .numerics import (
+    _binom_pmf_log_vec,
+    binom_cdf_complement,
+    binom_cdf_exact,
+    binom_pmf,
+)
 
 __all__ = [
     "Side",
@@ -347,67 +355,55 @@ def path_count_enumerate(j0: float, n: int) -> dict[tuple[float, int], int]:
     return out
 
 
-def _log_binom_row(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n."""
-    ks = np.arange(n + 1, dtype=np.float64)
-    return gammaln(n + 1.0) - gammaln(ks + 1.0) - gammaln(n - ks + 1.0)
-
-
 def price_closed(market: MarketState, n: int, side: Side) -> float:
-    """S_t (V1 - V2 + V3) by the literal sums over terminal levels.
+    """S_t (V1 - V2 + V3) summed over terminal levels, in O(n).
 
-    V1 and V2 run over unabsorbed levels j0 + 2k - n (V2 subtracts the
-    reflected counts C(n, k+f+1)); V3 is the double sum over absorbed
-    integer levels.  Each term is assembled in log space; the inner
-    count difference C(n,i) - C(n,i-1) is evaluated as
-    C(n,i) (n - 2i + 1)/(n - i + 1) to avoid cancellation of huge
-    binomials.  O(n^2) work, intended for n <= ~5000.
+    Every weight comes from one row pmf(i) = C(n, i) w^i (1-w)^{n-i},
+    i = 0..n, with w = q_adj for calls and 1 - q_adj for puts, and
+    rho = w / (1 - w):
+
+    * V1 runs over the unabsorbed levels j0 + 2k - n with weight pmf(k);
+    * V2 subtracts their reflected counts C(n, k+f+1) w^k (1-w)^{n-k}
+      = pmf(k+f+1) rho^{-(f+1)};
+    * V3 runs over the absorbed integer levels j.  Its inner count
+      C(n, i) - C(n, i-1) = C(n, i) (n - 2i + 1)/(n - i + 1), i = k - j,
+      is cancellation-free on i <= (n-1)/2, and row j equals
+      rho^j prefix[top_j], top_j = (n_inner + j)//2 - j, where prefix
+      holds the running sums of pmf(i) (n - 2i + 1)/(n - i + 1).
+
+    rho^j prefix is formed in log space (rho^j overflows at n = 1e6).
+    Against a 40-digit evaluation of the same sums the result agrees to
+    within 5e-15 relative on the four table markets at n = 5000.
     """
     par = tree_params(market, n, side)
     s = par.s
     floor = par.j0_floor
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
-    lw_up = math.log(w_up)
-    lw_dn = math.log1p(-w_up)
     sign = -1.0 if side == "call" else 1.0  # payoff = sign * expm1(sign * level * s)
-    log_c = _log_binom_row(n)
+    log_pmf = _binom_pmf_log_vec(n, w_up, np.arange(n + 1, dtype=np.int64))
 
     # k below n - (n+f)/2 cannot stay unabsorbed; for j0 > n no path is
     # ever absorbed and every k >= 0 is plain binomial
     k_min = max(n - (n + floor) // 2, 0)
-    ks = np.arange(k_min, n + 1, dtype=np.int64)
-    levels = par.j0 + 2 * ks.astype(np.float64) - n
+    levels = par.j0 + 2.0 * np.arange(k_min, n + 1) - n
     payoffs = sign * np.expm1(sign * levels * s)
-    weights = np.exp(log_c[ks] + ks * lw_up + (n - ks) * lw_dn)
-    v1 = math.fsum((payoffs * weights).tolist())
+    v1 = math.fsum((payoffs * np.exp(log_pmf[k_min:])).tolist())
 
     n_inner = n - floor - 1  # top absorbed level; negative when j0 >= n
     if n_inner < 0:
         return market.spot * v1
 
-    ks2 = np.arange(k_min, n - floor, dtype=np.int64)
-    if ks2.size:
-        levels2 = par.j0 + 2 * ks2.astype(np.float64) - n
-        payoffs2 = sign * np.expm1(sign * levels2 * s)
-        weights2 = np.exp(log_c[ks2 + floor + 1] + ks2 * lw_up + (n - ks2) * lw_dn)
-        v2 = math.fsum((payoffs2 * weights2).tolist())
-    else:
-        v2 = 0.0
+    # log(w / (1 - w)) from the exact 2w - 1, so rho matches the pmf row
+    log_rho = math.log1p((2.0 * w_up - 1.0) / (1.0 - w_up))
+    reflected = np.exp(log_pmf[k_min + floor + 1:] - (floor + 1) * log_rho)
+    v2 = math.fsum((payoffs[: reflected.size] * reflected).tolist())
 
-    v3_rows = []
-    for j in range(0, n_inner + 1):
-        k_hi = (n_inner + j) // 2
-        if k_hi < j:
-            continue
-        kj = np.arange(j, k_hi + 1, dtype=np.int64)
-        i = kj - j
-        # C(n,i) - C(n,i-1) = C(n,i) (n - 2i + 1) / (n - i + 1), exact and
-        # cancellation-free on this range (i <= (n-1)/2)
-        diff_factor = (n - 2 * i + 1).astype(np.float64) / (n - i + 1).astype(np.float64)
-        terms = np.exp(log_c[i] + kj * lw_up + (n - kj) * lw_dn) * diff_factor
-        payoff_j = sign * math.expm1(sign * j * s)
-        v3_rows.append(payoff_j * float(np.sum(terms)))
-    v3 = math.fsum(v3_rows)
+    i = np.arange(n_inner // 2 + 1)
+    log_ratio = np.log((n - 2 * i + 1) / (n - i + 1))
+    log_prefix = np.logaddexp.accumulate(log_pmf[: i.size] + log_ratio)
+    j = np.arange(n_inner + 1)
+    rows = np.exp(j * log_rho + log_prefix[(n_inner + j) // 2 - j])
+    v3 = math.fsum((sign * np.expm1(sign * j * s) * rows).tolist())
     return market.spot * (v1 - v2 + v3)
 
 
@@ -512,11 +508,15 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     """Risk-neutral backward induction on the level lattice.
 
     Two value columns evolve together: F over fractional levels
-    {j0_frac + g : g = 0..floor+n} and G over integer levels {0..floor+n}
-    (both must span floor + n + 1 cells: the start level floor + j0_frac
-    can climb n more steps).  A down move from the lowest fractional
-    level lands on integer 0, coupling F to G; integer levels reflect at
-    0.  Up weight is q_adj for calls and 1 - q_adj for puts.  No
+    {j0_frac + g} and G over integer levels {g}, both for g in the band
+    [max(0, floor - n), floor + n]: only levels within n steps of the
+    start floor + j0_frac can reach it, so the band holds at most
+    2n + 1 cells whatever the level.  A cell at either edge of the band
+    is left stale, and a stale value travels one cell per step, so it
+    never reaches the start within n steps.  When the band reaches
+    level 0, a down move from the lowest fractional level lands on
+    integer 0, coupling F to G, and integer levels reflect at 0.  Up
+    weight is q_adj for calls and 1 - q_adj for puts.  No
     per-step discounting: the adjusted weights already price relative to
     the spot numeraire (q_adj + (1 - q_adj) = 1 absorbs e^{-r tau/n}),
     so the price is simply spot times the start-level expectation.
@@ -530,10 +530,10 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     floor, frac = par.j0_floor, par.j0_frac
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
     w_dn = 1.0 - w_up
-    size = floor + n + 1
+    lo = max(0, floor - n)  # lowest level that can reach the start
     sign = -1.0 if side == "call" else 1.0
 
-    int_levels = np.arange(size, dtype=np.float64)
+    int_levels = np.arange(lo, floor + n + 1, dtype=np.float64)
     g = sign * np.expm1(sign * int_levels * s)
     has_frac = frac > 0.0
     if has_frac:
@@ -541,16 +541,16 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
 
     for _ in range(n):
         g_new = np.empty_like(g)
-        g_new[0] = w_up * g[1] + w_dn * g[0]
+        g_new[0] = w_up * g[1] + w_dn * g[0] if lo == 0 else g[0]
         g_new[1:-1] = w_up * g[2:] + w_dn * g[:-2]
         g_new[-1] = g[-1]  # stale top cell, never reachable from the start
         if has_frac:
             f_new = np.empty_like(f_col)
-            f_new[0] = w_up * f_col[1] + w_dn * g[0]
+            f_new[0] = w_up * f_col[1] + w_dn * g[0] if lo == 0 else f_col[0]
             f_new[1:-1] = w_up * f_col[2:] + w_dn * f_col[:-2]
             f_new[-1] = f_col[-1]
             f_col = f_new
         g = g_new
 
-    start_value = f_col[floor] if has_frac else g[floor]
+    start_value = f_col[floor - lo] if has_frac else g[floor - lo]
     return market.spot * float(start_value)

@@ -1,5 +1,5 @@
-"""Numerical foundation: standard normal CDF, stable binomial pmf/CDF at
-large n, probabilists' Hermite polynomials, and adaptive quadrature.
+"""Numerical foundation: standard normal CDF and stable binomial pmf/CDF
+at large n.
 
 Accuracy targets.  Phi carries absolute error <= 1e-15 so that O(n^-5/2)
 CDF corrections are never dominated by the normal CDF itself.  The
@@ -27,24 +27,18 @@ do: just inside its edge a sum that is all tail loses relative accuracy
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "QuadratureSpec",
     "std_normal_cdf",
     "std_normal_pdf",
     "binom_pmf_log",
     "binom_pmf",
     "binom_cdf_exact",
     "binom_cdf_complement",
-    "hermite_poly",
-    "integrate_adaptive",
 ]
 
 _SQRT_2 = math.sqrt(2.0)
@@ -71,42 +65,6 @@ _STIRLERR_TABLE = np.array([
     0.003333155636728093, 0.003204970228055038, 0.0030862786826087773,
     0.002976063983550409, 0.0028734493623524663,
 ])
-
-# Probabilists' Hermite polynomials H_1..H_11, coefficient of y^i at index i.
-_HERMITE_COEFFS: dict[int, tuple[float, ...]] = {
-    1: (0.0, 1.0),
-    2: (-1.0, 0.0, 1.0),
-    3: (0.0, -3.0, 0.0, 1.0),
-    4: (3.0, 0.0, -6.0, 0.0, 1.0),
-    5: (0.0, 15.0, 0.0, -10.0, 0.0, 1.0),
-    6: (-15.0, 0.0, 45.0, 0.0, -15.0, 0.0, 1.0),
-    7: (0.0, -105.0, 0.0, 105.0, 0.0, -21.0, 0.0, 1.0),
-    8: (105.0, 0.0, -420.0, 0.0, 210.0, 0.0, -28.0, 0.0, 1.0),
-    9: (0.0, 945.0, 0.0, -1260.0, 0.0, 378.0, 0.0, -36.0, 0.0, 1.0),
-    10: (-945.0, 0.0, 4725.0, 0.0, -3150.0, 0.0, 630.0, 0.0, -45.0, 0.0, 1.0),
-    11: (0.0, -10395.0, 0.0, 17325.0, 0.0, -6930.0, 0.0, 990.0, 0.0, -55.0,
-         0.0, 1.0),
-}
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and work cap for adaptive quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
-
 
 def std_normal_cdf(y: float) -> float:
     """Phi(y), the standard normal CDF, via the complementary error function.
@@ -334,57 +292,3 @@ def binom_cdf_complement(n: int, p: float, j: int) -> float:
     if j >= n:
         return 0.0
     return min(_tail_sum(n, p, max(j + 1, _bulk_window(n, p)[0]), 1), 1.0)
-
-
-def hermite_poly(m: int, y: float) -> float:
-    """Probabilists' Hermite polynomial H_m(y), 1 <= m <= 11.
-
-    H_1 = y, H_2 = y^2 - 1, and H_{m+1} = y H_m - m H_{m-1}; coefficients
-    are tabulated explicitly rather than generated so each polynomial is
-    auditable against its printed form.
-    """
-    if m not in _HERMITE_COEFFS:
-        raise DomainError(f"hermite_poly requires 1 <= m <= 11, got {m}")
-    acc = 0.0
-    for coef in reversed(_HERMITE_COEFFS[m]):
-        acc = acc * y + coef
-    return acc
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Integral of f over [a, b] within max(abs_tol, rel_tol * |result|).
-
-    Adaptive Gauss-Kronrod panels; oscillatory integrands (the binomial
-    CDF integral representation) need the adaptivity near the removable
-    origin.  Semi-infinite integrands must be truncated by the caller at
-    the point where their envelope falls below abs_tol; quadrature here is
-    strictly over the finite interval.
-    """
-    if not a < b:
-        raise DomainError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    result = _scipy_integrate.quad(
-        f, a, b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    if len(result) > 3:
-        # quad appends an explanation message when the subdivision limit
-        # or roundoff prevents convergence
-        raise ConvergenceError(
-            f"quadrature did not converge on [{a}, {b}]: {result[3]}",
-            best_estimate=float(result[0]),
-        )
-    value, abserr, _ = result
-    if abserr > max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0:
-        raise ConvergenceError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance on [{a}, {b}]",
-            best_estimate=float(value),
-        )
-    return float(value)

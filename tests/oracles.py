@@ -86,6 +86,63 @@ def lattice_ratios_mp(sigma: float, rate: float, tau: float, n: int) -> dict[str
                 "Qdm1": big_q * d - 1, "uWm1": u / big_q - 1}
 
 
+def closed_sum_mp(
+    spot: float, n: int, up_weight: float, j0: float, j0_floor: int,
+    step: float, side: str,
+) -> mp.mpf:
+    """S (V1 - V2 + V3) of the Cheuk-Vorst closed formula in 40 digits.
+
+    Takes the lattice's float inputs as given: the up weight w (q_adj for
+    calls, 1 - q_adj for puts), the snapped start level j0 with its floor
+    f, and the log step s.  Payoff at level x is 1 - e^{-x s} (call) or
+    e^{x s} - 1 (put); C(n, k) and w^k (1-w)^{n-k} come from their
+    multiplicative recurrences, and the count difference
+    C(n, i) - C(n, i-1) of an absorbed path is taken literally.
+
+        V1 = sum_{k >= k_min} payoff(j0 + 2k - n) C(n, k) w^k (1-w)^{n-k}
+        V2 = sum_{k_min <= k <= n-f-1} payoff(j0 + 2k - n) C(n, k+f+1) w^k (1-w)^{n-k}
+        V3 = sum_{j=0}^{n-f-1} payoff(j) sum_{k=j}^{(n-f-1+j)//2}
+             [C(n, k-j) - C(n, k-j-1)] w^k (1-w)^{n-k}
+
+    with k_min = max(n - (n + f)//2, 0).  V3's inner sum is grouped by
+    i = k - j as (w/(1-w))^j sum_{i <= top_j} [C(n,i) - C(n,i-1)]
+    w^i (1-w)^{n-i}, which makes the oracle O(n) without changing a term.
+    """
+    with mp.workdps(40):
+        w = mp.mpf(up_weight)
+        one_m_w = 1 - w
+        lvl0, s = mp.mpf(j0), mp.mpf(step)
+
+        def payoff(level):
+            if side == "call":
+                return 1 - mp.exp(-level * s)
+            return mp.exp(level * s) - 1
+
+        comb = [mp.mpf(1)]
+        for k in range(n):
+            comb.append(comb[-1] * (n - k) / (k + 1))
+        weight = [one_m_w**n]  # w^k (1-w)^{n-k}
+        rho = w / one_m_w
+        for k in range(n):
+            weight.append(weight[-1] * rho)
+        f = j0_floor
+        k_min = max(n - (n + f) // 2, 0)
+        v1 = mp.fsum(payoff(lvl0 + 2 * k - n) * comb[k] * weight[k]
+                     for k in range(k_min, n + 1))
+        n_inner = n - f - 1
+        if n_inner < 0:
+            return spot * v1
+        v2 = mp.fsum(payoff(lvl0 + 2 * k - n) * comb[k + f + 1] * weight[k]
+                     for k in range(k_min, n - f))
+        prefix, acc = [], mp.mpf(0)
+        for i in range(n_inner // 2 + 1):
+            acc += (comb[i] - (comb[i - 1] if i else 0)) * weight[i]
+            prefix.append(acc)
+        v3 = mp.fsum(payoff(j) * rho**j * prefix[(n_inner + j) // 2 - j]
+                     for j in range(n_inner + 1))
+        return spot * (v1 - v2 + v3)
+
+
 def walk_level_paths(j0: Fraction, n: int) -> dict[tuple[Fraction, int], int]:
     """Count all 2^n up/down paths of the level process by endpoint.
 

@@ -32,8 +32,6 @@ import pytest
 
 from lookback import (
     MarketState,
-    QuadratureSpec,
-    appendix_identity_check,
     binom_cdf_exact,
     bs_price,
     cdf_expansion,
@@ -46,9 +44,10 @@ from lookback import (
     price_backward_induction,
     price_closed,
     price_closed_reduced,
-    uspensky_cdf,
 )
 from lookback.cli import TABLE_MARKETS, TABLE_N_VALUES, cmd_cdf_bench, cmd_table
+
+from .quadrature import QuadratureSpec, appendix_identity_check, uspensky_cdf
 
 # Printed convergence tables: per table, the five-column rows (price,
 # scaled residual 1, scaled residual 2, second coefficient at n) plus the

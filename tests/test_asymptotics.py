@@ -166,22 +166,22 @@ class TestExpansionPrice:
 
 class TestResidualScan:
     def test_table_one_row(self):
-        rows = residual_scan(T1, "call", [1000])
+        rows = residual_scan(T1, "call", [1000], expansion_coeffs(T1, "call"))
         (n, price_n, c0, scaled1, scaled2) = rows[0]
         assert n == 1000
         assert abs(scaled1 - (-0.6866)) <= 5e-4
         assert abs(scaled2 - 0.6491) <= 5e-4
 
     def test_table_two_scaled1(self):
-        rows = residual_scan(T2, "call", [50000])
+        rows = residual_scan(T2, "call", [50000], expansion_coeffs(T2, "call"))
         assert abs(rows[0][3] - (-1.4044)) <= 5e-4
 
     def test_table_three_scaled2(self):
-        rows = residual_scan(T3, "put", [10000])
+        rows = residual_scan(T3, "put", [10000], expansion_coeffs(T3, "put"))
         assert abs(rows[0][4] - 1.9153) <= 5e-4
 
     def test_row_structure(self):
-        rows = residual_scan(T1, "call", [500, 1000])
+        rows = residual_scan(T1, "call", [500, 1000], expansion_coeffs(T1, "call"))
         assert [r[0] for r in rows] == [500, 1000]
         for (n, price_n, c0, scaled1, scaled2) in rows:
             assert abs(scaled1 - (price_n - c0) * math.sqrt(n)) <= 1e-12 * max(
@@ -196,7 +196,7 @@ class TestResidualScan:
         K_n = |scaled1 - c1| sqrt(n) varies by less than 2x across the
         Table n-grid (it converges to |c2| up to the kappa oscillation)."""
         coeffs = expansion_coeffs(market, side)
-        rows = residual_scan(market, side, list(TABLE_GRID))
+        rows = residual_scan(market, side, list(TABLE_GRID), coeffs)
         fitted = [abs(r[3] - coeffs.c1) * math.sqrt(r[0]) for r in rows]
         assert max(fitted) <= 2.0 * min(fitted), f"K_n = {fitted}"
 
@@ -211,7 +211,8 @@ class TestResidualScan:
         of test_convergence_order, taken where an offset of 0.0084 is no
         longer hidden under that test's bound of 10."""
         coeffs = expansion_coeffs(market, side)
-        for (n, _, _, _, scaled2) in residual_scan(market, side, [10**5, 3 * 10**5, 10**6]):
+        rows = residual_scan(market, side, [10**5, 3 * 10**5, 10**6], coeffs)
+        for (n, _, _, _, scaled2) in rows:
             gap = (scaled2 - coeffs.c2_at(n)) * math.sqrt(n)
             assert abs(gap) <= 5.0, f"n={n}: {gap}"
 

@@ -10,20 +10,23 @@ import random
 import pytest
 
 from lookback import (
-    QuadratureSpec,
     SequenceCoeffs,
-    UspenskyContext,
-    appendix_identity_check,
     binom_cdf_complement,
     binom_cdf_exact,
     cdf_expansion,
     cdf_limit_classifier,
     complementary_expansion,
     std_normal_pdf,
+)
+from lookback.errors import DomainError
+
+from .quadrature import (
+    QuadratureSpec,
+    UspenskyContext,
+    appendix_identity_check,
     uspensky_cdf,
     uspensky_J,
 )
-from lookback.errors import DomainError
 
 SCAN_GRID = (200, 400, 800, 1600, 3200, 6400)
 # Oscillatory integrands at n ~ 200 need a deeper subdivision budget than

@@ -127,6 +127,24 @@ class TestCmdTable:
         assert abs(row.price_n - 23.4800) <= 5e-4
         assert abs(row.coeff1 - (-3.6413)) <= 5e-5
 
+    def test_expansion_computed_once(self, monkeypatch):
+        """cmd_table hands its expansion to residual_scan instead of
+        letting it compute the same coefficients again."""
+        import lookback.asymptotics as asymptotics
+        import lookback.cli as cli
+
+        calls = []
+        original = asymptotics.expansion_coeffs
+
+        def counting(market, side):
+            calls.append(side)
+            return original(market, side)
+
+        monkeypatch.setattr(cli, "expansion_coeffs", counting)
+        monkeypatch.setattr(asymptotics, "expansion_coeffs", counting)
+        cmd_table("T1")
+        assert len(calls) == 1
+
     def test_unknown_table(self):
         with pytest.raises(DomainError):
             cmd_table("T9")

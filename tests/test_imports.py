@@ -1,0 +1,40 @@
+"""The installed package imports numpy and nothing heavier: scipy is a
+test dependency of the quadrature oracles only."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import subprocess
+import sys
+
+import lookback
+
+SRC = pathlib.Path(lookback.__file__).resolve().parent
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import lookback, lookback.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert offenders == []

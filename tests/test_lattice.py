@@ -5,6 +5,7 @@ induction)."""
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,12 +26,14 @@ from lookback import (
 )
 from lookback.errors import BudgetError, DomainError, ModelError
 
-from .oracles import lattice_ratios_mp, walk_level_paths, walk_price
+from .oracles import closed_sum_mp, lattice_ratios_mp, walk_level_paths, walk_price
 
 T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
 T2 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.0, tau=1.27)
 T3 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.08, tau=1.27)
 T4 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.0, tau=1.27)
+
+TABLE_SIDES = [(T1, "call"), (T2, "call"), (T3, "put"), (T4, "put")]
 
 J0_GRID = (0.0, 0.3, 1.0, 1.6, 2.0, 3.7)
 
@@ -353,6 +356,49 @@ class TestPriceClosed:
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
+def _closed_sum_mp(market: MarketState, n: int, side: str):
+    par = tree_params(market, n, side)
+    w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
+    return closed_sum_mp(market.spot, n, w_up, par.j0, par.j0_floor, par.s, side)
+
+
+class TestClosedSum:
+    """The O(n) closed sum against the tree, a 40-digit evaluation of the
+    same formula, and the reduced form beyond the tree's budget."""
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    def test_matches_tree_tightly(self, market, side):
+        """Within 1e-13 relative of backward induction for every n <= 500
+        and at n = 1000, 2000, 5000 (worst seen 5e-15)."""
+        for n in [*range(1, 501), 1000, 2000, 5000]:
+            a = price_closed(market, n, side)
+            b = price_backward_induction(market, n, side)
+            assert abs(a - b) <= 1e-13 * abs(b), f"n={n}: {a} vs {b}"
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    def test_against_mp_closed_sum(self, market, side):
+        ref = _closed_sum_mp(market, 5000, side)
+        got = price_closed(market, 5000, side)
+        assert abs(got - ref) <= 1e-13 * abs(ref), f"{got} vs {ref}"
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_mp_closed_sum_against_walk(self, market, side, n):
+        """The 40-digit oracle itself reproduces the 2^n path walk."""
+        par = tree_params(market, n, side)
+        w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
+        walk = walk_price(market.spot, Fraction(par.j0), n, w_up, par.s, side)
+        ref = _closed_sum_mp(market, n, side)
+        assert abs(walk - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_reduced_matches_closed_at_large_n(self, market, side, n):
+        a = price_closed(market, n, side)
+        b = price_closed_reduced(market, n, side)
+        assert abs(a - b) <= 1e-10 * abs(a), f"n={n}: {(b - a) / a:.2e}"
+
+
 class TestPriceBackwardInduction:
     @pytest.mark.parametrize("n", [2, 5, 50, 313])
     def test_matches_closed_form(self, n):
@@ -388,6 +434,35 @@ class TestPriceBackwardInduction:
     def test_budget(self):
         with pytest.raises(BudgetError):
             price_backward_induction(T1, 5001, "call")
+
+    @pytest.mark.parametrize("side,extremum", [("call", 1.0), ("put", 1e4)])
+    def test_far_start_level_is_banded(self, side, extremum):
+        """spot/extremum = 100 at sigma = 0.01, tau = 1e-4 puts the start
+        2,059,494 levels up at n = 2000.  Only the 2n + 1 levels within
+        reach of the start are stepped, so the tree takes milliseconds
+        (unbanded, 2e6 cells per column for 2000 steps) and matches the
+        closed sum."""
+        market = MarketState(spot=100.0, extremum=extremum, sigma=0.01, rate=0.05,
+                             tau=1e-4)
+        start = time.perf_counter()
+        got = price_backward_induction(market, 2000, side)
+        elapsed = time.perf_counter() - start
+        want = price_closed(market, 2000, side)
+        assert abs(got - want) <= 1e-12 * abs(want), f"{got} vs {want}"
+        assert elapsed < 5.0, f"{elapsed:.1f} s"
+
+    @pytest.mark.parametrize("side", ["call", "put"])
+    @pytest.mark.parametrize("n,offset", [(5, 0.5), (40, 3.0), (40, 17.25), (301, 1.75)])
+    def test_band_edge_near_the_start(self, side, n, offset):
+        """Start levels just above n, where the band's lower edge is
+        stale but still close to the start."""
+        sigma, tau = 0.2, 1.27
+        ratio = math.exp((n + offset) * sigma * math.sqrt(tau / n))
+        market = MarketState(spot=80.0, extremum=80.0 / ratio if side == "call"
+                             else 80.0 * ratio, sigma=sigma, rate=0.08, tau=tau)
+        a = price_closed(market, n, side)
+        b = price_backward_induction(market, n, side)
+        assert abs(a - b) <= 1e-13 * abs(a), f"{a} vs {b}"
 
 
 class TestThreeWayAgreement:

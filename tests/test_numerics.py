@@ -11,23 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lookback import (
-    QuadratureSpec,
     binom_cdf_complement,
     binom_cdf_exact,
     binom_pmf,
     binom_pmf_log,
-    hermite_poly,
-    integrate_adaptive,
     std_normal_cdf,
     std_normal_pdf,
 )
-from lookback.errors import ConvergenceError, DomainError
+from lookback.errors import DomainError
 
 from .oracles import (
     binom_cdf_lower_exact,
     binom_cdf_upper_exact,
     binom_pmf_exact,
     binom_tail_mp,
+)
+from .quadrature import (
+    ConvergenceError,
+    QuadratureSpec,
+    hermite_poly,
+    integrate_adaptive,
 )
 
 
