@@ -50,6 +50,7 @@ from .lattice import (
 from .numerics import (
     binom_cdf_complement,
     binom_cdf_exact,
+    binom_cdfs,
     binom_pmf,
     binom_pmf_log,
     std_normal_cdf,
@@ -70,6 +71,7 @@ __all__ = [
     "binom_pmf",
     "binom_cdf_exact",
     "binom_cdf_complement",
+    "binom_cdfs",
     "Side",
     "PathClass",
     "MarketState",

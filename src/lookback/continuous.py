@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .lattice import MarketState, Side
-from .numerics import std_normal_cdf, std_normal_pdf
+from .numerics import _log_std_normal_cdf, std_normal_cdf, std_normal_pdf
 
 __all__ = ["DValues", "BsTerms", "d_values", "bs_terms", "bs_price"]
 
@@ -91,10 +91,10 @@ def bs_terms(market: MarketState, side: Side) -> BsTerms:
         return BsTerms(b1=b1, b2=b2, b3_star=b3_star, b4_star=b4_star)
     theta1 = 1.0 + market.sigma**2 / (2.0 * market.rate)
     theta2 = 1.0 - market.sigma**2 / (2.0 * market.rate)
-    # (S/M)^{-2r/sigma^2} through exp/log: robust for small sigma where the
-    # exponent is large
-    power = math.exp(-(2.0 * market.rate / market.sigma**2) * lsm)
-    b3 = disc * power * std_normal_cdf(-flip * d.d3)
+    # (S/M)^{-2r/sigma^2} Phi(-flip d3) in log space: for a small sigma or
+    # a spot far from the extremum the power overflows where Phi underflows
+    b3 = disc * math.exp(-(2.0 * market.rate / market.sigma**2) * lsm
+                         + _log_std_normal_cdf(-flip * d.d3))
     return BsTerms(b1=b1, b2=b2, theta1=theta1, theta2=theta2, b3=b3)
 
 

@@ -42,12 +42,10 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .errors import BudgetError, DomainError, ModelError
-from .numerics import (
-    _binom_pmf_log_vec,
-    binom_cdf_complement,
-    binom_cdf_exact,
-    binom_pmf,
-)
+from .numerics import _binom_pmf_log_vec, _pmf_consts, binom_cdfs, binom_pmf
+
+# Unused here; perfbench/spans.py wraps these names on this module.
+from .numerics import binom_cdf_complement, binom_cdf_exact  # noqa: F401
 
 __all__ = [
     "Side",
@@ -380,7 +378,7 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     floor = par.j0_floor
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
     sign = -1.0 if side == "call" else 1.0  # payoff = sign * expm1(sign * level * s)
-    log_pmf = _binom_pmf_log_vec(n, w_up, np.arange(n + 1, dtype=np.int64))
+    log_pmf = _binom_pmf_log_vec(np.arange(n + 1, dtype=np.int64), _pmf_consts(n, w_up))
 
     # k below n - (n+f)/2 cannot stay unabsorbed; for j0 > n no path is
     # ever absorbed and every k >= 0 is plain binomial
@@ -416,7 +414,13 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     ratios Q = q/(1-q) and P = p/(1-p) for r > 0, and into the separate
     rate-zero form (using k C(n,k) = n C(n-1,k-1)) when the geometric
     ratios degenerate to 1.  Seven CDFs of O(sqrt(n)) time each (see
-    ``binom_cdf_exact``); stable at n = 1e5.
+    ``binom_cdf_exact``); stable at n = 1e5.  All seven go to one
+    ``binom_cdfs`` call, which evaluates their first chunks in shared
+    pmf kernel calls of at most 4,096 entries: on the table markets one
+    call up to n = 5000, where every sum ends in its first chunk, and a
+    call per CDF from n = 1.2e5 on, where one chunk passes 2,048
+    entries.  The three or four single pmf terms stay scalar
+    ``binom_pmf`` calls.
 
     Branch dispatch is on rate == 0.0 exactly, never an epsilon: the two
     cases are distinct exact formulas and their r -> 0 continuity is a
@@ -438,70 +442,91 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     log_q_ratio = math.log1p(par.Qm1)
     log_p_ratio = math.log1p(par.Pm1)
     if side == "call":
+        # complementary CDFs of V1 and V2, then the lower CDFs of V3
+        specs = [(n, q, j1 - 1, True), (n, p, j1 - 1, True)]
+        if n_inner >= 0:
+            specs += [(n, q, j2 - 1, True), (n, p, j2 - 1, True)]
+            if market.rate == 0.0:
+                specs += [(n, q, j3 - 1, False), (n, p, j3 - 1, False),
+                          (n - 1, q, j3 - 2, False)]
+            else:
+                specs += [(n, q, j3 - 1, False), (n, 1.0 - q, j3 - 1, False),
+                          (n, 1.0 - p, j3 - 1, False)]
+        cdf = binom_cdfs(specs)
         # extremum/spot as u^{-j0}: consistent with the snapped level
         ms_disc = math.exp(-par.j0 * par.s) * disc
-        v1 = (binom_cdf_complement(n, q, j1 - 1)
-              - ms_disc * binom_cdf_complement(n, p, j1 - 1))
+        v1 = cdf[0] - ms_disc * cdf[1]
         if n_inner < 0:
             return spot * v1
-        v2 = (math.exp(-(floor + 1) * log_q_ratio) * binom_cdf_complement(n, q, j2 - 1)
-              - ms_disc * math.exp(-(floor + 1) * log_p_ratio)
-              * binom_cdf_complement(n, p, j2 - 1))
+        v2 = (math.exp(-(floor + 1) * log_q_ratio) * cdf[2]
+              - ms_disc * math.exp(-(floor + 1) * log_p_ratio) * cdf[3])
         if market.rate == 0.0:
             um1 = par.um1
+            bin_q, bin_p, bin_q_short = cdf[4:]
             v3 = ((floor - n - 1.0 / um1)
-                  * (binom_pmf(n, q, j3) - um1 * binom_cdf_exact(n, q, j3 - 1))
-                  - 2.0 * u * binom_cdf_exact(n, q, j3 - 1)
+                  * (binom_pmf(n, q, j3) - um1 * bin_q)
+                  - 2.0 * u * bin_q
                   + math.exp(-(floor + 1) * par.s) / um1
-                  * (um1 * binom_cdf_exact(n, p, j3 - 1) + u * binom_pmf(n, p, j3))
+                  * (um1 * bin_p + u * binom_pmf(n, p, j3))
                   + 2.0 * n * q
-                  * (binom_pmf(n - 1, q, j3 - 1)
-                     - um1 * binom_cdf_exact(n - 1, q, j3 - 2)))
+                  * (binom_pmf(n - 1, q, j3 - 1) - um1 * bin_q_short))
         else:
+            bin_q, bin_q_flip, bin_p_flip = cdf[4:]
             log_qd_ratio = math.log1p(par.Qdm1)
             c_a = par.Q * (1.0 - d) / (par.Qm1 * par.Qdm1)
             c_b = math.exp(-(floor + 1) * log_q_ratio) / par.Qm1
             c_c = -disc * math.exp(-(floor + 1) * log_qd_ratio) / (d * par.Qdm1)
             # Bin(j3) - Q Bin(j3-1) and friends, rewritten through the pmf at
             # j3 so the near-cancelling CDF pair never meets head on
-            pair_a = binom_pmf(n, q, j3) - par.Qm1 * binom_cdf_exact(n, q, j3 - 1)
-            pair_b = (par.Q * binom_pmf(n, 1.0 - q, j3)
-                      + par.Qm1 * binom_cdf_exact(n, 1.0 - q, j3 - 1))
-            pair_c = (par.P * binom_pmf(n, 1.0 - p, j3)
-                      + par.Pm1 * binom_cdf_exact(n, 1.0 - p, j3 - 1))
+            pair_a = binom_pmf(n, q, j3) - par.Qm1 * bin_q
+            pair_b = par.Q * binom_pmf(n, 1.0 - q, j3) + par.Qm1 * bin_q_flip
+            pair_c = par.P * binom_pmf(n, 1.0 - p, j3) + par.Pm1 * bin_p_flip
             v3 = c_a * pair_a + c_b * pair_b + c_c * pair_c
         return spot * (v1 - v2 + v3)
 
+    specs = [(n, 1.0 - p, j1 - 1, True), (n, 1.0 - q, j1 - 1, True)]
+    if n_inner >= 0:
+        specs += [(n, 1.0 - p, j2 - 1, True), (n, 1.0 - q, j2 - 1, True)]
+        if market.rate == 0.0:
+            specs += [(n, p, j3, False), (n - 1, p, j3 - 1, False), (n, q, j3, False)]
+        else:
+            specs += [(n, p, j3, False), (n, 1.0 - q, j3, False), (n, q, j3, False)]
+    cdf = binom_cdfs(specs)
     ms_disc = math.exp(par.j0 * par.s) * disc
-    v1 = (ms_disc * binom_cdf_complement(n, 1.0 - p, j1 - 1)
-          - binom_cdf_complement(n, 1.0 - q, j1 - 1))
+    v1 = ms_disc * cdf[0] - cdf[1]
     if n_inner < 0:
         return spot * v1
-    v2 = (ms_disc * math.exp((floor + 1) * log_p_ratio)
-          * binom_cdf_complement(n, 1.0 - p, j2 - 1)
-          - math.exp((floor + 1) * log_q_ratio)
-          * binom_cdf_complement(n, 1.0 - q, j2 - 1))
+    v2 = (ms_disc * math.exp((floor + 1) * log_p_ratio) * cdf[2]
+          - math.exp((floor + 1) * log_q_ratio) * cdf[3])
     # parity edge term: the top absorbed level is reached only when
     # n - floor - 1 and the step count share parity
     edge = (1.0 - d) * binom_pmf(n, 1.0 - q, j3) if n_inner % 2 == 0 else 0.0
     if market.rate == 0.0:
-        v3 = ((1.0 - d)
-              * (n_inner * binom_cdf_exact(n, p, j3)
-                 - 2.0 * n * p * binom_cdf_exact(n - 1, p, j3 - 1))
-              + d * binom_cdf_exact(n, p, j3)
-              - math.exp((floor + 1) * par.s) * binom_cdf_exact(n, q, j3)
+        bin_p, bin_p_short, bin_q = cdf[4:]
+        v3 = ((1.0 - d) * (n_inner * bin_p - 2.0 * n * p * bin_p_short)
+              + d * bin_p
+              - math.exp((floor + 1) * par.s) * bin_q
               + edge)
     else:
+        bin_p, bin_q_flip, bin_q = cdf[4:]
         log_uw_ratio = math.log1p(par.uWm1)
         u2wm1 = u * par.uWm1 + par.um1  # u^2/Q - 1
         c_a = (1.0 / par.Q) * u2wm1 / par.uWm1
         c_b = -(par.Qm1 / par.Q) / par.uWm1 - 1.0
-        v3 = (disc * c_a * math.exp(-(floor + 2) * log_uw_ratio)
-              * binom_cdf_exact(n, p, j3)
-              + c_b * binom_cdf_exact(n, 1.0 - q, j3)
-              - math.exp((floor + 1) * log_q_ratio) * binom_cdf_exact(n, q, j3)
+        v3 = (disc * c_a * math.exp(-(floor + 2) * log_uw_ratio) * bin_p
+              + c_b * bin_q_flip
+              - math.exp((floor + 1) * log_q_ratio) * bin_q
               + edge)
     return spot * (v1 - v2 + v3)
+
+
+def _interior_step(
+    col: np.ndarray, out: np.ndarray, w_up: float, w_dn: float, scratch: np.ndarray
+) -> None:
+    """out[1:-1] = w_up col[2:] + w_dn col[:-2], with no temporary."""
+    np.multiply(col[2:], w_up, out=out[1:-1])
+    np.multiply(col[:-2], w_dn, out=scratch)
+    out[1:-1] += scratch
 
 
 def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
@@ -539,18 +564,23 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     if has_frac:
         f_col = sign * np.expm1(sign * (frac + int_levels) * s)
 
+    # Two columns per level set take turns as source and target, so the
+    # loop allocates nothing: fresh per-step temporaries land on whatever
+    # alignment malloc gives them, and their speed varied by 1.6x with it.
+    g_new = np.empty_like(g)
+    scratch = np.empty(g.size - 2)
+    if has_frac:
+        f_new = np.empty_like(f_col)
     for _ in range(n):
-        g_new = np.empty_like(g)
         g_new[0] = w_up * g[1] + w_dn * g[0] if lo == 0 else g[0]
-        g_new[1:-1] = w_up * g[2:] + w_dn * g[:-2]
+        _interior_step(g, g_new, w_up, w_dn, scratch)
         g_new[-1] = g[-1]  # stale top cell, never reachable from the start
         if has_frac:
-            f_new = np.empty_like(f_col)
             f_new[0] = w_up * f_col[1] + w_dn * g[0] if lo == 0 else f_col[0]
-            f_new[1:-1] = w_up * f_col[2:] + w_dn * f_col[:-2]
+            _interior_step(f_col, f_new, w_up, w_dn, scratch)
             f_new[-1] = f_col[-1]
-            f_col = f_new
-        g = g_new
+            f_col, f_new = f_new, f_col
+        g, g_new = g_new, g
 
     start_value = f_col[floor - lo] if has_frac else g[floor - lo]
     return market.spot * float(start_value)

@@ -22,11 +22,24 @@ toward its tail until a geometric bound puts everything left below
 2^-60 of the partial sum.  Clipping both ends to the window would not
 do: just inside its edge a sum that is all tail loses relative accuracy
 (10% at n = 3000, p = 1/2, j = 1165).
+
+The walk goes in chunks of half the window, one vectorised pmf call
+each, and at n <= 5000 most sums end after their first chunk.  A call
+of a few hundred terms is mostly fixed numpy cost, so ``binom_cdfs``
+packs the first chunks of several CDFs into one call, with the (n, p)
+constants of the kernel repeated per entry.  A pack holds at most 4,096
+entries: one merged call over 7 x 6,000 entries takes 3.1 ms against
+1.7 ms for seven separate calls (2-CPU x86 VM, n = 1e6), as its
+temporaries spill out of L2.  Each sum still adds the same terms, so
+the packed and one-at-a-time results are the same bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,6 +52,7 @@ __all__ = [
     "binom_pmf",
     "binom_cdf_exact",
     "binom_cdf_complement",
+    "binom_cdfs",
 ]
 
 _SQRT_2 = math.sqrt(2.0)
@@ -66,6 +80,20 @@ _STIRLERR_TABLE = np.array([
     0.002976063983550409, 0.0028734493623524663,
 ])
 
+# Least float v with 1.1 v^(2j-1) / (2j+1) > 2^-56, for j = 1..8, each
+# found by bisection on the float grid (see ``_bd0_series_terms``).
+_BD0_TERM_THRESHOLDS = (
+    3.784851220313034e-17, 3.980758709761108e-06, 0.000615467492560349,
+    0.005274328221428407, 0.017299580920154864, 0.0367272375970295,
+    0.061736202103526025, 0.09024540506489268,
+)
+
+# Most pmf entries in one kernel call that packs first chunks of several
+# CDFs: past this the call's temporaries outgrow L2 and it runs slower
+# than separate calls.
+_PACK_MAX = 4096
+
+
 def std_normal_cdf(y: float) -> float:
     """Phi(y), the standard normal CDF, via the complementary error function.
 
@@ -78,6 +106,24 @@ def std_normal_cdf(y: float) -> float:
     if y >= 0.0:
         return 1.0 - 0.5 * math.erfc(y / _SQRT_2)
     return 0.5 * math.erfc(-y / _SQRT_2)
+
+
+def _log_std_normal_cdf(y: float) -> float:
+    """log Phi(y), finite for every finite y.
+
+    Below y = -35, where Phi(y) < 1e-267 nears the underflow of erfc, it
+    is log(phi(y) / -y) plus the log of the Mills-ratio series
+    1 - 1/y^2 + 3/y^4 - 15/y^6 + ...; the first term left out,
+    17!!/y^18, is below 1e-20 there and shrinks with -y.
+    """
+    if y > -35.0:
+        return math.log(std_normal_cdf(y))
+    z = 1.0 / (y * y)
+    term, series = 1.0, 0.0
+    for k in range(1, 9):
+        term *= -(2 * k - 1) * z
+        series += term
+    return -0.5 * y * y - math.log(-y * _SQRT_2PI) + math.log1p(series)
 
 
 def std_normal_pdf(y: float) -> float:
@@ -98,7 +144,7 @@ def _stirlerr(k: float) -> float:
 
 
 def _bd0_series(
-    x: float | np.ndarray, m: float, v: float | np.ndarray, terms: int
+    x: float | np.ndarray, m: float | np.ndarray, v: float | np.ndarray, terms: int
 ) -> float | np.ndarray:
     """(x - m) v + sum_{j=1}^{terms} 2 x v^{2j+1} / (2j + 1), the near-branch
     series of bd0 with v = (x - m)/(x + m)."""
@@ -106,8 +152,8 @@ def _bd0_series(
     ej = 2.0 * x * v
     v2 = v * v
     for j in range(1, terms + 1):
-        ej = ej * v2
-        s = s + ej / (2 * j + 1)
+        ej *= v2
+        s += ej / (2 * j + 1)
     return s
 
 
@@ -170,45 +216,72 @@ def _bd0_series_terms(v_max: float) -> int:
     partial sums stay above 0.96 of the leading term.  Once that bound is
     below 2^-56 the term is under half an ulp of the partial sum, and so
     is every later, smaller term; the result is the same as iterating
-    until no entry changes.  |v| < 0.1 needs at most 9 terms.
+    until no entry changes.  The count is one plus the number of j whose
+    bound is still above 2^-56; ``_BD0_TERM_THRESHOLDS`` holds, for
+    j = 1..8, the least float v_max where it is, so |v| < 0.1 needs at
+    most 9 terms.
     """
-    terms = 1
-    while 1.1 * v_max ** (2 * terms - 1) / (2 * terms + 1) > 2.0**-56:
-        terms += 1
-    return terms
+    return 1 + bisect.bisect_right(_BD0_TERM_THRESHOLDS, v_max)
 
 
-def _bd0_vec(xs: np.ndarray, m: float) -> np.ndarray:
+def _at(value: float | np.ndarray, mask: np.ndarray) -> float | np.ndarray:
+    """value[mask] for a per-entry array, value itself for a scalar."""
+    return value[mask] if isinstance(value, np.ndarray) else value
+
+
+def _bd0_vec(xs: np.ndarray, m: float | np.ndarray) -> np.ndarray:
     out = np.empty_like(xs)
     near = np.abs(xs - m) < 0.1 * (xs + m)
     far = ~near
     if far.any():
-        xf = xs[far]
-        out[far] = xf * np.log(xf / m) + m - xf
+        xf, mf = xs[far], _at(m, far)
+        out[far] = xf * np.log(xf / mf) + mf - xf
     if near.any():
-        x = xs[near]
-        v = (x - m) / (x + m)
-        out[near] = _bd0_series(x, m, v, _bd0_series_terms(float(np.max(np.abs(v)))))
+        x, mn = xs[near], _at(m, near)
+        v = (x - mn) / (x + mn)
+        out[near] = _bd0_series(x, mn, v, _bd0_series_terms(float(np.max(np.abs(v)))))
     return out
 
 
-def _binom_pmf_log_vec(n: int, p: float, ks: np.ndarray) -> np.ndarray:
-    """Vectorized binom_pmf_log over an int64 array with entries in [0, n]."""
-    out = np.empty(ks.shape, dtype=np.float64)
-    lo = ks == 0
-    hi = ks == n
-    mid = ~(lo | hi)
-    out[lo] = n * math.log1p(-p)
-    out[hi] = n * math.log(p)
-    if mid.any():
-        k = ks[mid].astype(np.float64)
-        nf = float(n)
-        out[mid] = (
-            _stirlerr(nf) - _stirlerr_vec(k) - _stirlerr_vec(nf - k)
-            - _bd0_vec(k, nf * p) - _bd0_vec(nf - k, nf * (1.0 - p))
-            + 0.5 * np.log(nf / (2.0 * np.pi * k * (nf - k)))
-        )
+def _pmf_consts(n: int, p: float) -> tuple[float, float, float, float, float, float]:
+    """What log pmf(n, p, k) takes from n and p alone: n, stirlerr(n), n p,
+    n (1 - p), and the values at k = 0 and k = n."""
+    nf = float(n)
+    return nf, _stirlerr(nf), nf * p, nf * (1.0 - p), nf * math.log1p(-p), nf * math.log(p)
+
+
+def _binom_pmf_log_vec(ks: np.ndarray, consts: Sequence) -> np.ndarray:
+    """Vectorized binom_pmf_log over an int64 array with entries in [0, n].
+
+    ``consts`` holds the six fields of ``_pmf_consts(n, p)``, each a
+    scalar or an array aligned with ks that gives it per entry, which
+    lets one call evaluate chunks of several (n, p) at once.
+    """
+    nf, st_n, mean_up, mean_dn, at_lo, at_hi = consts
+    k = ks.astype(np.float64)
+    lo = k == 0.0
+    hi = k == nf
+    edge = lo | hi
+    if not edge.any():
+        return _log_pmf_inside(k, nf, st_n, mean_up, mean_dn)
+    out = np.empty_like(k)
+    out[lo] = _at(at_lo, lo)
+    out[hi] = _at(at_hi, hi)
+    mid = ~edge
+    out[mid] = _log_pmf_inside(k[mid], *(_at(c, mid) for c in consts[:4]))
     return out
+
+
+def _log_pmf_inside(
+    k: np.ndarray, nf: float | np.ndarray, st_n: float | np.ndarray,
+    mean_up: float | np.ndarray, mean_dn: float | np.ndarray,
+) -> np.ndarray:
+    """log pmf at 0 < k < n by the Stirling-error decomposition."""
+    return (
+        st_n - _stirlerr_vec(k) - _stirlerr_vec(nf - k)
+        - _bd0_vec(k, mean_up) - _bd0_vec(nf - k, mean_dn)
+        + 0.5 * np.log(nf / (2.0 * np.pi * k * (nf - k)))
+    )
 
 
 def _half_window(n: int, p: float) -> float:
@@ -228,7 +301,24 @@ def _bulk_window(n: int, p: float) -> tuple[int, int]:
     return max(0, math.floor(mean - half)), min(n, math.ceil(mean + half))
 
 
-def _tail_sum(n: int, p: float, start: int, step: int) -> float:
+def _walk_start(n: int, p: float, j: int, upper: bool) -> tuple[int, int]:
+    """(start, step) of the walk that sums Bin_{n,p}(j) (upper: its
+    complement), for 0 <= j < n: from j down, or from j + 1 up, moved to
+    the bulk window's edge if it lies beyond it."""
+    lo, hi = _bulk_window(n, p)
+    return (max(j + 1, lo), 1) if upper else (min(j, hi), -1)
+
+
+def _chunk_stop(n: int, p: float, k: int, step: int) -> int:
+    """Exclusive end of the chunk that starts at k: half the bulk window
+    long, clipped to the support."""
+    chunk = math.ceil(_half_window(n, p))
+    return max(k - chunk, -1) if step < 0 else min(k + chunk, n + 1)
+
+
+def _tail_sum(
+    n: int, p: float, start: int, step: int, first: np.ndarray | None = None
+) -> float:
     """fsum of pmf(n, p, k) for k = start, start + step, ... toward the tail.
 
     The walk runs in chunks of half the bulk window and stops at the end
@@ -239,17 +329,21 @@ def _tail_sum(n: int, p: float, start: int, step: int) -> float:
     second shrinks, so along either walk r_k never increases: once
     r_a < 1, every later ratio is at most r_a and the unsummed tail is at
     most the geometric series t_a (r_a + r_a^2 + ...) = t_a r_a / (1 - r_a).
+    ``first``, if given, holds the pmf terms of the first chunk, already
+    evaluated (``binom_cdfs`` packs them).
     """
-    chunk = math.ceil(_half_window(n, p))
     end = -1 if step < 0 else n + 1
-    pieces = []
+    summands: list[float] = []
     partial = 0.0
     k = start
     while k != end:
-        stop = max(k - chunk, end) if step < 0 else min(k + chunk, end)
-        ks = np.arange(k, stop, step, dtype=np.int64)
-        terms = np.exp(_binom_pmf_log_vec(n, p, ks))
-        pieces.append(terms)
+        stop = _chunk_stop(n, p, k, step)
+        if first is None:
+            ks = np.arange(k, stop, step, dtype=np.int64)
+            terms = np.exp(_binom_pmf_log_vec(ks, _pmf_consts(n, p)))
+        else:
+            terms, first = first, None
+        summands += terms.tolist()
         partial += float(terms.sum())
         a = stop - step
         if step < 0:
@@ -259,7 +353,7 @@ def _tail_sum(n: int, p: float, start: int, step: int) -> float:
         if ratio < 1.0 and terms[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio):
             break
         k = stop
-    return math.fsum(np.concatenate(pieces).tolist())
+    return math.fsum(summands)
 
 
 def binom_cdf_exact(n: int, p: float, j: int) -> float:
@@ -275,7 +369,7 @@ def binom_cdf_exact(n: int, p: float, j: int) -> float:
         return 0.0
     if j >= n:
         return 1.0
-    return min(_tail_sum(n, p, min(j, _bulk_window(n, p)[1]), -1), 1.0)
+    return min(_tail_sum(n, p, *_walk_start(n, p, j, False)), 1.0)
 
 
 def binom_cdf_complement(n: int, p: float, j: int) -> float:
@@ -291,4 +385,54 @@ def binom_cdf_complement(n: int, p: float, j: int) -> float:
         return 1.0
     if j >= n:
         return 0.0
-    return min(_tail_sum(n, p, max(j + 1, _bulk_window(n, p)[0]), 1), 1.0)
+    return min(_tail_sum(n, p, *_walk_start(n, p, j, True)), 1.0)
+
+
+def binom_cdfs(specs: Sequence[tuple[int, float, int, bool]]) -> list[float]:
+    """Several CDFs at once: for each (n, p, j, upper) in specs,
+    ``binom_cdf_complement(n, p, j)`` if upper else ``binom_cdf_exact(n, p, j)``,
+    bit for bit.
+
+    The first chunks of the walks, in spec order, are packed into kernel
+    calls of at most ``_PACK_MAX`` entries; each walk then goes on alone
+    only if its tail rule is not yet met.  A call pays a fixed numpy cost
+    that dominates a chunk of a few hundred terms, so a price that needs
+    seven CDFs at n <= 5000 makes one call instead of seven.  A walk whose
+    chunk is alone in its pack runs exactly as the one-CDF functions do.
+    """
+    out = []
+    walks = []  # (index into out, n, p, start, step, end of the first chunk)
+    for n, p, j, upper in specs:
+        _check_binom_args(n, p)
+        if j < 0 or j >= n:
+            out.append(1.0 if (j < 0) == upper else 0.0)
+            continue
+        start, step = _walk_start(n, p, j, upper)
+        walks.append((len(out), n, p, start, step, _chunk_stop(n, p, start, step)))
+        out.append(math.nan)
+    packs: list[list[tuple]] = []
+    size = 0
+    for walk in walks:
+        _, _, _, start, _, stop = walk
+        width = abs(stop - start)
+        if not packs or size + width > _PACK_MAX:
+            packs.append([])
+            size = 0
+        packs[-1].append(walk)
+        size += width
+    for pack in packs:
+        firsts = _first_chunks(pack) if len(pack) > 1 else [None]
+        for (i, n, p, start, step, _), first in zip(pack, firsts):
+            out[i] = min(_tail_sum(n, p, start, step, first), 1.0)
+    return out
+
+
+def _first_chunks(pack: list[tuple]) -> list[np.ndarray]:
+    """pmf terms of each walk's first chunk, from one kernel call over the
+    chunks laid end to end with their (n, p) constants repeated per entry."""
+    widths = [abs(stop - start) for _, _, _, start, _, stop in pack]
+    ks = np.concatenate([np.arange(start, stop, step, dtype=np.int64)
+                         for _, _, _, start, step, stop in pack])
+    consts = np.array([_pmf_consts(n, p) for _, n, p, *_ in pack])
+    terms = np.exp(_binom_pmf_log_vec(ks, np.repeat(consts.T, widths, axis=1)))
+    return [terms[end - width:end] for end, width in zip(itertools.accumulate(widths), widths)]

@@ -1,0 +1,23 @@
+"""Shared fixtures."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from lookback import numerics
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Log (entries, packed) for every call of the pmf kernel; a packed
+    call carries per-entry constants for the chunks of two or more CDFs."""
+    calls = []
+    kernel = numerics._binom_pmf_log_vec
+
+    def recording(ks, consts):
+        calls.append((ks.size, isinstance(consts[0], np.ndarray)))
+        return kernel(ks, consts)
+
+    monkeypatch.setattr(numerics, "_binom_pmf_log_vec", recording)
+    return calls

@@ -86,6 +86,33 @@ def lattice_ratios_mp(sigma: float, rate: float, tau: float, n: int) -> dict[str
                 "Qdm1": big_q * d - 1, "uWm1": u / big_q - 1}
 
 
+def bs_price_mp(
+    spot: float, extremum: float, sigma: float, rate: float, tau: float, side: str,
+) -> mp.mpf:
+    """The Goldman-Sosin-Gatto price of ``continuous.bs_price`` (r > 0) in
+    50 digits, every term formed as written, with theta_1 = 1 + sigma^2/2r,
+    theta_2 = 1 - sigma^2/2r and flip = 1 for puts, -1 for calls:
+
+        B1 = Phi(flip d1),  B2 = e^{-r tau} Phi(-flip d2),
+        B3 = e^{-r tau} (S/M)^{-2r/sigma^2} Phi(-flip d3),
+        call = S - S theta_1 B1 - M B2 + S (1 - theta_2) B3,  put = -call.
+    """
+    with mp.workdps(50):
+        s, m, sig, r, t = (mp.mpf(x) for x in (spot, extremum, sigma, rate, tau))
+        st = sig * mp.sqrt(t)
+        d1 = (mp.log(s / m) + (r + sig**2 / 2) * t) / st
+        d2 = d1 - st
+        d3 = -d1 + (2 * r / sig) * mp.sqrt(t)
+        disc = mp.exp(-r * t)
+        flip = 1 if side == "put" else -1
+        b1 = mp.ncdf(flip * d1)
+        b2 = disc * mp.ncdf(-flip * d2)
+        b3 = disc * (s / m) ** (-2 * r / sig**2) * mp.ncdf(-flip * d3)
+        theta1, theta2 = 1 + sig**2 / (2 * r), 1 - sig**2 / (2 * r)
+        call = s - s * theta1 * b1 - m * b2 + s * (1 - theta2) * b3
+        return call if side == "call" else -call
+
+
 def closed_sum_mp(
     spot: float, n: int, up_weight: float, j0: float, j0_floor: int,
     step: float, side: str,

@@ -287,6 +287,14 @@ class TestMainErrors:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ModelError"
 
+    def test_bs_put_where_power_overflows_exits_0(self, capsys):
+        code = main(["price", "--spot", "1", "--extremum", "1e100", "--sigma",
+                     "0.2", "--rate", "0.08", "--tau", "1.27", "--side", "put",
+                     "--n", "1", "--method", "bs"])
+        assert code == 0
+        price = float(capsys.readouterr().out.splitlines()[-1].split(",")[1])
+        assert math.isfinite(price) and price > 0.0
+
     def test_nonfinite_spot_exits_2(self, capsys):
         args = PRICE_ARGS + ["--n", "100"]
         args[args.index("--spot") + 1] = "inf"

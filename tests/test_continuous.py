@@ -11,6 +11,8 @@ import pytest
 from lookback import MarketState, bs_price, bs_terms, d_values
 from lookback.errors import DomainError
 
+from .oracles import bs_price_mp
+
 T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
 T2 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.0, tau=1.27)
 T3 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.08, tau=1.27)
@@ -164,6 +166,21 @@ class TestBsPrice:
                 f"{side} price {price} below bound {floor_value} on {market}"
             )
             assert price >= 0.0
+
+    @pytest.mark.parametrize(
+        "market",
+        [
+            MarketState(spot=1.0, extremum=1e100, sigma=0.2, rate=0.08, tau=1.27),
+            MarketState(spot=1.48, extremum=2.52, sigma=0.0022, rate=0.21, tau=0.0011),
+        ],
+    )
+    def test_put_where_power_overflows(self, market):
+        # (S/M)^{-2r/sigma^2} overflows while Phi(-d3) underflows
+        price = bs_price(market, "put")
+        assert math.isfinite(price) and price >= 0.0
+        reference = bs_price_mp(market.spot, market.extremum, market.sigma,
+                                market.rate, market.tau, "put")
+        assert abs(price - reference) <= 1e-12 * abs(reference)
 
     def test_invalid_side_rejected(self):
         with pytest.raises(DomainError):

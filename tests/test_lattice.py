@@ -24,6 +24,7 @@ from lookback import (
     price_closed_reduced,
     tree_params,
 )
+from lookback import numerics
 from lookback.errors import BudgetError, DomainError, ModelError
 
 from .oracles import closed_sum_mp, lattice_ratios_mp, walk_level_paths, walk_price
@@ -397,6 +398,24 @@ class TestClosedSum:
         a = price_closed(market, n, side)
         b = price_closed_reduced(market, n, side)
         assert abs(a - b) <= 1e-10 * abs(a), f"n={n}: {(b - a) / a:.2e}"
+
+
+class TestReducedPackedPass:
+    """The CDFs of a reduced price share kernel calls of bounded size."""
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    def test_one_kernel_call_up_to_n_2000(self, market, side, kernel_calls):
+        for n in [*range(2, 2000, 13), 2000]:
+            kernel_calls.clear()
+            price_closed_reduced(market, n, side)
+            assert len(kernel_calls) == 1, f"n={n}: {kernel_calls}"
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    def test_packed_calls_within_cap(self, market, side, kernel_calls):
+        for n in [5000, 10**4, 3 * 10**4, 10**5, 10**6]:
+            price_closed_reduced(market, n, side)
+        packed = [size for size, is_packed in kernel_calls if is_packed]
+        assert packed and max(packed) <= numerics._PACK_MAX
 
 
 class TestPriceBackwardInduction:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 from lookback import (
     binom_cdf_complement,
     binom_cdf_exact,
+    binom_cdfs,
     binom_pmf,
     binom_pmf_log,
     std_normal_cdf,
     std_normal_pdf,
 )
+from lookback import numerics
 from lookback.errors import DomainError
 
 from .oracles import (
@@ -82,6 +85,13 @@ class TestStdNormalCdf:
             assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)) + 1e-300, (
                 f"Phi({y}) = {got}, reference {ref}"
             )
+
+    @pytest.mark.parametrize("y", [-1e5, -1e3, -100.0, -40.0, -35.0001, -35.0,
+                                   -34.9999, -20.0, -5.0, -1.0, 0.0])
+    def test_log_cdf_where_erfc_underflows(self, y):
+        with mp.workdps(50):
+            ref = mp.log(mp.ncdf(y))
+        assert abs(numerics._log_std_normal_cdf(y) - ref) <= 1e-15 * abs(ref)
 
     @given(
         y1=st.floats(min_value=-10.0, max_value=10.0),
@@ -228,6 +238,87 @@ class TestBinomCdf:
     def test_cdf_clamped_to_one(self):
         for j in range(90, 101):
             assert binom_cdf_exact(100, 0.5, j) <= 1.0
+
+
+def _one_at_a_time(specs):
+    return [binom_cdf_complement(n, p, j) if upper else binom_cdf_exact(n, p, j)
+            for n, p, j, upper in specs]
+
+
+class TestBinomCdfs:
+    """The packed entry point returns what one-at-a-time calls return, bit
+    for bit."""
+
+    def test_trivial_indices(self):
+        specs = [(n, 0.3, j, upper) for n in (0, 1, 10)
+                 for j in (-5, -1, n, n + 1, n + 7) for upper in (False, True)]
+        assert binom_cdfs(specs) == _one_at_a_time(specs)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_chunks_reach_both_ends_of_the_support(self, n):
+        specs = [(n, p, j, upper) for p in (0.03, 0.5, 0.97)
+                 for j in range(-1, n + 1) for upper in (False, True)]
+        assert binom_cdfs(specs) == _one_at_a_time(specs)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 499, 5000])
+    def test_shorter_rows_of_the_zero_rate_branch(self, n):
+        q, p, j3 = 0.503, 0.497, n // 2 - 1
+        specs = [(n, q, j3 - 1, False), (n, p, j3 - 1, False),
+                 (n - 1, q, j3 - 2, False), (n - 1, p, j3 - 1, False),
+                 (n, 1.0 - q, j3 + 1, True)]
+        assert binom_cdfs(specs) == _one_at_a_time(specs)
+
+    def test_packs_split_at_the_cap(self, kernel_calls):
+        n = 100_000
+        specs = [(n, p, int(n * p) + shift, upper) for p in (0.3, 0.49, 0.5, 0.51)
+                 for shift in (-300, 0, 250) for upper in (False, True)]
+        got = binom_cdfs(specs)
+        packed = [size for size, is_packed in kernel_calls if is_packed]
+        assert len(packed) >= 2 and max(packed) <= numerics._PACK_MAX
+        assert got == _one_at_a_time(specs)
+
+    def test_walk_goes_on_past_its_first_chunk(self, kernel_calls):
+        # the upper sum from far below the mean starts at the window's
+        # lower edge and needs more than the first half window
+        specs = [(1000, 0.5, 100, True), (1000, 0.5, 520, False), (999, 0.4, 380, True)]
+        got = binom_cdfs(specs)
+        assert [is_packed for _, is_packed in kernel_calls] == [True, False]
+        assert got == _one_at_a_time(specs)
+
+    def test_random_specs(self):
+        rng = np.random.default_rng(7)
+        specs = []
+        for _ in range(400):
+            n = int(10 ** rng.uniform(0, 5))
+            p = float(rng.uniform(0.01, 0.99))
+            j = int(n * p + rng.uniform(-30, 30) * math.sqrt(n * p * (1 - p)))
+            specs.append((n, p, j, bool(rng.integers(2))))
+        for start in range(0, len(specs), 8):
+            chunk = specs[start:start + 8]
+            assert binom_cdfs(chunk) == _one_at_a_time(chunk)
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            binom_cdfs([(10, 0.3, 4, False), (10, 1.0, 4, True)])
+
+
+def _bd0_series_terms_loop(v_max):
+    terms = 1
+    while 1.1 * v_max ** (2 * terms - 1) / (2 * terms + 1) > 2.0**-56:
+        terms += 1
+    return terms
+
+
+class TestBd0SeriesTerms:
+    def test_table_matches_loop(self):
+        points = [0.0]
+        for threshold in numerics._BD0_TERM_THRESHOLDS:
+            points += [threshold, math.nextafter(threshold, 0.0),
+                       math.nextafter(threshold, 1.0)]
+        points += [k * 1e-6 for k in range(100_000)]  # [0, 0.1)
+        points += [10.0 ** e for e in np.linspace(-20.0, -1.0, 20_000)][:-1]
+        for v in points:
+            assert numerics._bd0_series_terms(v) == _bd0_series_terms_loop(v), v
 
 
 class TestHermitePoly:
