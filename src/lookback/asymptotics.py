@@ -101,8 +101,10 @@ def _c2_affine(market: MarketState, side: Side) -> tuple[float, float]:
         return a, b
     assert terms.theta1 is not None and terms.theta2 is not None
     assert terms.b3 is not None
-    b4 = (st * math.exp(0.5 * (1.0 - 2.0 * rate / sigma**2) * lsm)
-          * math.exp(-0.25 * (d.d1**2 + d.d4**2)) / _SQRT_2PI)
+    # (S/M)^{(1 - 2r/sigma^2)/2} e^{-(d1^2 + d4^2)/4} in one exp: for a small
+    # sigma the power overflows where the Gaussian factor underflows
+    b4 = st * math.exp(0.5 * (1.0 - 2.0 * rate / sigma**2) * lsm
+                       - 0.25 * (d.d1**2 + d.d4**2)) / _SQRT_2PI
     base = spot * sigma**2 * tau / 12.0
     t1_const = -(1.0 + 4.0 * rate**2 / sigma**4) * lsm
     t1_kappa = 12.0 * rate / sigma**2 * terms.theta2

@@ -17,11 +17,12 @@ Three prices of the same quantity are implemented:
 * ``price_closed``: the triple-sum formula S (V1 - V2 + V3) with
   reflection-principle path counts, every weight read from one binomial
   pmf row and the absorbed double sum folded into prefix sums, O(n);
-* ``price_closed_reduced``: the same value rearranged into complementary
-  binomial CDFs, O(sqrt(n)) time per CDF.  Against ``price_closed`` on
-  the four table markets it stays within 2.5e-13 relative at n = 1e4,
-  1e5 and 1e6, except on the zero-rate branch: the call reads -2.0e-12,
-  -1.5e-11 and +9.1e-11 there, the put -1.2e-13, -6.5e-13 and +1.3e-11;
+* ``price_closed_reduced``: the same value rearranged into binomial
+  CDFs, one arrangement for both sides, O(sqrt(n)) time per CDF.
+  Against ``price_closed`` on the four table markets it stays within
+  2.5e-13 relative at n = 1e4, 1e5 and 1e6, except on the zero-rate
+  branch: the call reads +1.8e-13, +1.3e-12 and -8.0e-12 there, the put
+  -1.2e-13, -6.5e-13 and +1.3e-11;
 * ``price_backward_induction``: risk-neutral dynamic programming on the
   level lattice, an independent O(n^2) oracle.
 
@@ -406,118 +407,95 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
 
 
 def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
-    """Same value as ``price_closed`` via complementary binomial CDFs.
+    """Same value as ``price_closed`` via binomial CDFs.
 
-    V1 and V2 become complementary-CDF differences at the split indices
-    j1 = n - floor((n + j0_floor)/2) and j2 = j1 + j0_floor + 1; the V3
-    double sum telescopes into geometric combinations of CDFs with
-    ratios Q = q/(1-q) and P = p/(1-p) for r > 0, and into the separate
-    rate-zero form (using k C(n,k) = n C(n-1,k-1)) when the geometric
-    ratios degenerate to 1.  Seven CDFs of O(sqrt(n)) time each (see
-    ``binom_cdf_exact``); stable at n = 1e5.  All seven go to one
-    ``binom_cdfs`` call, which evaluates their first chunks in shared
-    pmf kernel calls of at most 4,096 entries: on the table markets one
-    call up to n = 5000, where every sum ends in its first chunk, and a
-    call per CDF from n = 1.2e5 on, where one chunk passes 2,048
-    entries.  The three or four single pmf terms stay scalar
-    ``binom_pmf`` calls.
+    One arrangement serves both sides.  With up weight w (q_adj for
+    calls, 1 - q_adj for puts), w' the matching p_up or 1 - p_up,
+    rho = w/(1-w), rho' = w'/(1-w'), c = u^sign and payoff
+    sign (c^level - 1) (sign = -1 for calls, +1 for puts), V1 and V2 are
+    upper-CDF differences in w and w' at the split indices
+    j1 = n - floor((n + j0_floor)/2) and j2 = j1 + j0_floor + 1.  The V3
+    double sum telescopes into three lower CDFs at j3 = j1 - 1, with
+    geometric ratios rho and rho c for r > 0 and, at r = 0 where rho c = 1,
+    with k C(n,k) = n C(n-1,k-1); a parity-edge pmf term adds the top
+    absorbed level when n - j0_floor - 1 is even.  ``side`` only picks the
+    scalars; each keeps the form that is exact for its side (for a put,
+    rho - 1 = -Qm1/Q and rho c - 1 = uWm1; for a call, Qm1 and Qdm1).
+
+    Seven CDFs of O(sqrt(n)) time each (see ``binom_cdf_exact``) go to one
+    ``binom_cdfs`` call, which evaluates their first chunks in shared pmf
+    kernel calls of at most 4,096 entries: on the table markets one call
+    up to n = 5000, where every sum ends in its first chunk, and a call
+    per CDF from n = 1.2e5 on, where one chunk passes 2,048 entries.  The
+    parity-edge term is one scalar ``binom_pmf`` call.  Against
+    ``price_closed`` on the four table markets the result stays within
+    3.1e-14 relative on the r > 0 calls and 2.5e-13 on the r > 0 puts up
+    to n = 1e6; on the zero-rate branch the call reads +1.8e-13, +1.3e-12
+    and -8.0e-12 at n = 1e4, 1e5 and 1e6, the put -1.2e-13, -6.5e-13 and
+    +1.3e-11.
 
     Branch dispatch is on rate == 0.0 exactly, never an epsilon: the two
     cases are distinct exact formulas and their r -> 0 continuity is a
     tested property.  The r > 0 rearrangement is consequently
     ill-conditioned for small rates (absolute error ~ eps sigma^2 spot /
-    (2 r)): against backward induction on the T1 call at n = 500 the
-    relative error is 1.3e-12 at r = 1e-4, 7.9e-11 at 1e-5, 5.1e-10 at
-    1e-6 and 1.4e-7 at 1e-8.
+    (2 r)): against backward induction at n = 500 the relative error of
+    the T1 call is 6.2e-14 at r = 1e-4, 4.2e-12 at 1e-5, 3.9e-11 at 1e-6
+    and 1.1e-8 at 1e-8, and of the T3 put 1.4e-13, 4.4e-12, 6.1e-11 and
+    1.6e-8.
     """
     par = tree_params(market, n, side)
     spot = market.spot
     floor = par.j0_floor
-    u, d, q, p = par.u, par.d, par.q_adj, par.p_up
+    q, p = par.q_adj, par.p_up
     disc = math.exp(-market.rate * market.tau)
+    # w_c = 1 - w, wp_c = 1 - w', rho_m1 = rho - 1, rc_m1 = rho c - 1
+    if side == "call":
+        sign, w, w_c, wp, wp_c = -1.0, q, 1.0 - q, p, 1.0 - p
+        log_rho, log_rho_p = math.log1p(par.Qm1), math.log1p(par.Pm1)
+        rho, rho_m1, rc_m1 = par.Q, par.Qm1, par.Qdm1
+        c, c_inv, cm1, one_m_cinv = par.d, par.u, math.expm1(-par.s), -par.um1
+    else:
+        sign, w, w_c, wp, wp_c = 1.0, 1.0 - q, q, 1.0 - p, p
+        log_rho, log_rho_p = -math.log1p(par.Qm1), -math.log1p(par.Pm1)
+        rho, rho_m1, rc_m1 = 1.0 / par.Q, -(par.Qm1 / par.Q), par.uWm1
+        c, c_inv, cm1, one_m_cinv = par.u, par.d, par.um1, 1.0 - par.d
     j1 = n - (n + floor) // 2
     j2 = j1 + floor + 1
     j3 = j1 - 1
     n_inner = n - floor - 1
-    log_q_ratio = math.log1p(par.Qm1)
-    log_p_ratio = math.log1p(par.Pm1)
-    if side == "call":
-        # complementary CDFs of V1 and V2, then the lower CDFs of V3
-        specs = [(n, q, j1 - 1, True), (n, p, j1 - 1, True)]
-        if n_inner >= 0:
-            specs += [(n, q, j2 - 1, True), (n, p, j2 - 1, True)]
-            if market.rate == 0.0:
-                specs += [(n, q, j3 - 1, False), (n, p, j3 - 1, False),
-                          (n - 1, q, j3 - 2, False)]
-            else:
-                specs += [(n, q, j3 - 1, False), (n, 1.0 - q, j3 - 1, False),
-                          (n, 1.0 - p, j3 - 1, False)]
-        cdf = binom_cdfs(specs)
-        # extremum/spot as u^{-j0}: consistent with the snapped level
-        ms_disc = math.exp(-par.j0 * par.s) * disc
-        v1 = cdf[0] - ms_disc * cdf[1]
-        if n_inner < 0:
-            return spot * v1
-        v2 = (math.exp(-(floor + 1) * log_q_ratio) * cdf[2]
-              - ms_disc * math.exp(-(floor + 1) * log_p_ratio) * cdf[3])
-        if market.rate == 0.0:
-            um1 = par.um1
-            bin_q, bin_p, bin_q_short = cdf[4:]
-            v3 = ((floor - n - 1.0 / um1)
-                  * (binom_pmf(n, q, j3) - um1 * bin_q)
-                  - 2.0 * u * bin_q
-                  + math.exp(-(floor + 1) * par.s) / um1
-                  * (um1 * bin_p + u * binom_pmf(n, p, j3))
-                  + 2.0 * n * q
-                  * (binom_pmf(n - 1, q, j3 - 1) - um1 * bin_q_short))
-        else:
-            bin_q, bin_q_flip, bin_p_flip = cdf[4:]
-            log_qd_ratio = math.log1p(par.Qdm1)
-            c_a = par.Q * (1.0 - d) / (par.Qm1 * par.Qdm1)
-            c_b = math.exp(-(floor + 1) * log_q_ratio) / par.Qm1
-            c_c = -disc * math.exp(-(floor + 1) * log_qd_ratio) / (d * par.Qdm1)
-            # Bin(j3) - Q Bin(j3-1) and friends, rewritten through the pmf at
-            # j3 so the near-cancelling CDF pair never meets head on
-            pair_a = binom_pmf(n, q, j3) - par.Qm1 * bin_q
-            pair_b = par.Q * binom_pmf(n, 1.0 - q, j3) + par.Qm1 * bin_q_flip
-            pair_c = par.P * binom_pmf(n, 1.0 - p, j3) + par.Pm1 * bin_p_flip
-            v3 = c_a * pair_a + c_b * pair_b + c_c * pair_c
-        return spot * (v1 - v2 + v3)
-
-    specs = [(n, 1.0 - p, j1 - 1, True), (n, 1.0 - q, j1 - 1, True)]
+    specs = [(n, wp, j1 - 1, True), (n, w, j1 - 1, True)]
     if n_inner >= 0:
-        specs += [(n, 1.0 - p, j2 - 1, True), (n, 1.0 - q, j2 - 1, True)]
+        specs += [(n, wp, j2 - 1, True), (n, w, j2 - 1, True)]
         if market.rate == 0.0:
-            specs += [(n, p, j3, False), (n - 1, p, j3 - 1, False), (n, q, j3, False)]
+            specs += [(n, wp_c, j3, False), (n - 1, wp_c, j3 - 1, False), (n, w_c, j3, False)]
         else:
-            specs += [(n, p, j3, False), (n, 1.0 - q, j3, False), (n, q, j3, False)]
+            specs += [(n, wp_c, j3, False), (n, w, j3, False), (n, w_c, j3, False)]
     cdf = binom_cdfs(specs)
-    ms_disc = math.exp(par.j0 * par.s) * disc
-    v1 = ms_disc * cdf[0] - cdf[1]
+    # extremum/spot as c^{j0}: consistent with the snapped level
+    ms_disc = math.exp(sign * par.j0 * par.s) * disc
+    v1 = sign * (ms_disc * cdf[0] - cdf[1])
     if n_inner < 0:
         return spot * v1
-    v2 = (ms_disc * math.exp((floor + 1) * log_p_ratio) * cdf[2]
-          - math.exp((floor + 1) * log_q_ratio) * cdf[3])
+    v2 = sign * (ms_disc * math.exp(-(floor + 1) * log_rho_p) * cdf[2]
+                 - math.exp(-(floor + 1) * log_rho) * cdf[3])
     # parity edge term: the top absorbed level is reached only when
     # n - floor - 1 and the step count share parity
-    edge = (1.0 - d) * binom_pmf(n, 1.0 - q, j3) if n_inner % 2 == 0 else 0.0
+    edge = one_m_cinv * binom_pmf(n, w, j3) if n_inner % 2 == 0 else 0.0
     if market.rate == 0.0:
-        bin_p, bin_p_short, bin_q = cdf[4:]
-        v3 = ((1.0 - d) * (n_inner * bin_p - 2.0 * n * p * bin_p_short)
-              + d * bin_p
-              - math.exp((floor + 1) * par.s) * bin_q
+        bin_wp_c, bin_wp_c_short, bin_w_c = cdf[4:]
+        v3 = (one_m_cinv * (n_inner * bin_wp_c - 2.0 * n * wp_c * bin_wp_c_short)
+              + c_inv * bin_wp_c
+              - math.exp(sign * (floor + 1) * par.s) * bin_w_c
               + edge)
     else:
-        bin_p, bin_q_flip, bin_q = cdf[4:]
-        log_uw_ratio = math.log1p(par.uWm1)
-        u2wm1 = u * par.uWm1 + par.um1  # u^2/Q - 1
-        c_a = (1.0 / par.Q) * u2wm1 / par.uWm1
-        c_b = -(par.Qm1 / par.Q) / par.uWm1 - 1.0
-        v3 = (disc * c_a * math.exp(-(floor + 2) * log_uw_ratio) * bin_p
-              + c_b * bin_q_flip
-              - math.exp((floor + 1) * log_q_ratio) * bin_q
+        bin_wp_c, bin_w, bin_w_c = cdf[4:]
+        c_a = rho * (c * rc_m1 + cm1) / rc_m1  # rho (rho c^2 - 1) / (rho c - 1)
+        c_b = rho_m1 / rc_m1 - 1.0
+        v3 = (disc * c_a * math.exp(-(floor + 2) * math.log1p(rc_m1)) * bin_wp_c
+              + c_b * bin_w
+              - math.exp(-(floor + 1) * log_rho) * bin_w_c
               + edge)
-    return spot * (v1 - v2 + v3)
+    return spot * (v1 - v2 + sign * v3)
 
 
 def _interior_step(

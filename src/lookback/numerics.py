@@ -364,12 +364,7 @@ def binom_cdf_exact(n: int, p: float, j: int) -> float:
     rule of ``_tail_sum``, so it costs O(sd) = O(sqrt(n)) pmf terms rather
     than O(j), with relative error near 1e-15 in either tail.
     """
-    _check_binom_args(n, p)
-    if j < 0:
-        return 0.0
-    if j >= n:
-        return 1.0
-    return min(_tail_sum(n, p, *_walk_start(n, p, j, False)), 1.0)
+    return binom_cdfs([(n, p, j, False)])[0]
 
 
 def binom_cdf_complement(n: int, p: float, j: int) -> float:
@@ -380,18 +375,13 @@ def binom_cdf_complement(n: int, p: float, j: int) -> float:
     window's lower edge if j + 1 lies below it) and walks up under the
     same tail rule, O(sqrt(n)) pmf terms.
     """
-    _check_binom_args(n, p)
-    if j < 0:
-        return 1.0
-    if j >= n:
-        return 0.0
-    return min(_tail_sum(n, p, *_walk_start(n, p, j, True)), 1.0)
+    return binom_cdfs([(n, p, j, True)])[0]
 
 
 def binom_cdfs(specs: Sequence[tuple[int, float, int, bool]]) -> list[float]:
-    """Several CDFs at once: for each (n, p, j, upper) in specs,
-    ``binom_cdf_complement(n, p, j)`` if upper else ``binom_cdf_exact(n, p, j)``,
-    bit for bit.
+    """Several CDFs at once: for each (n, p, j, upper) in specs, the upper
+    tail sum of ``binom_cdf_complement`` if upper, else the lower CDF of
+    ``binom_cdf_exact`` (those two are one-spec calls of this function).
 
     The first chunks of the walks, in spec order, are packed into kernel
     calls of at most ``_PACK_MAX`` entries; each walk then goes on alone

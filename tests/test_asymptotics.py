@@ -100,6 +100,13 @@ class TestExpansionCoeffs:
         assert expansion_coeffs(T2, "call").rate_branch == "zero"
         assert expansion_coeffs(T3, "put").side == "put"
 
+    def test_finite_where_b4_power_overflows(self):
+        """(S/M)^{(1 - 2r/sigma^2)/2} alone overflows on this low-volatility
+        put; its product with e^{-(d1^2 + d4^2)/4} does not."""
+        market = MarketState(spot=1.48, extremum=2.52, sigma=0.0022, rate=0.21, tau=0.0011)
+        coeffs = expansion_coeffs(market, "put")
+        assert all(math.isfinite(c) for c in (coeffs.c0, coeffs.c1, coeffs.c2_at(100)))
+
     def test_c0_is_continuous_price(self):
         from lookback import bs_price
 

@@ -295,6 +295,14 @@ class TestMainErrors:
         price = float(capsys.readouterr().out.splitlines()[-1].split(",")[1])
         assert math.isfinite(price) and price > 0.0
 
+    def test_expansion_put_where_b4_power_overflows_exits_0(self, capsys):
+        code = main(["price", "--spot", "1.48", "--extremum", "2.52", "--sigma",
+                     "0.0022", "--rate", "0.21", "--tau", "0.0011", "--side", "put",
+                     "--n", "100", "--method", "expansion"])
+        assert code == 0
+        price = float(capsys.readouterr().out.splitlines()[-1].split(",")[1])
+        assert math.isfinite(price) and price > 0.0
+
     def test_nonfinite_spot_exits_2(self, capsys):
         args = PRICE_ARGS + ["--n", "100"]
         args[args.index("--spot") + 1] = "inf"

@@ -38,3 +38,18 @@ def test_no_module_imports_scipy():
             offenders += [f"{path.name}:{node.lineno}" for name in names
                           if name.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_perfbench_bindings_resolve():
+    """Every function the benchmark's tracer wraps is still bound where it
+    looks it up; a missing name would only fail a traced run."""
+    import importlib
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, name) for module, name, _ in spans.BINDINGS
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert spans.BINDINGS and missing == []

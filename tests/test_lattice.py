@@ -4,7 +4,9 @@ induction)."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -398,6 +400,42 @@ class TestClosedSum:
         a = price_closed(market, n, side)
         b = price_closed_reduced(market, n, side)
         assert abs(a - b) <= 1e-10 * abs(a), f"n={n}: {(b - a) / a:.2e}"
+
+
+class TestReducedBothSides:
+    """One arrangement of the reduced form prices calls and puts."""
+
+    def test_random_markets_against_closed(self):
+        """Both sides, r = 0 and r in [1e-3, 0.16], n <= 5000."""
+        rng = random.Random(20261018)
+        worst = []
+        for i in range(300):
+            side = ("call", "put")[i % 2]
+            spot = math.exp(rng.uniform(-3.0, 5.0))
+            ratio = math.exp(rng.uniform(0.0, 0.8))
+            sigma = math.exp(rng.uniform(math.log(0.02), 0.0))
+            rate = 0.0 if i % 3 == 0 else rng.uniform(1e-3, 0.16)
+            tau = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+            # n > r^2 tau / sigma^2 keeps r tau/n below the log step
+            n = max(int(math.exp(rng.uniform(0.0, math.log(5000.0)))),
+                    math.floor(rate**2 * tau / sigma**2) + 1)
+            market = MarketState(spot=spot, extremum=spot * ratio if side == "put"
+                                 else spot / ratio, sigma=sigma, rate=rate, tau=tau)
+            a = price_closed(market, n, side)
+            b = price_closed_reduced(market, n, side)
+            worst.append((abs(b - a) / abs(a), side, rate, n))
+        err, side, rate, n = max(worst)
+        assert err <= 1e-11, f"{side}, r = {rate}, n = {n}: {err:.2e}"
+
+    @pytest.mark.parametrize("market,side", [(T1, "call"), (T3, "put")])
+    @pytest.mark.parametrize("rate", [1e-4, 1e-5, 1e-6])
+    def test_small_rate_against_tree(self, market, side, rate):
+        """The r > 0 arrangement has a 1/r pole; at n = 500 both sides
+        stay within 1e-10 down to r = 1e-6 (worst seen 6.1e-11, T3)."""
+        market = dataclasses.replace(market, rate=rate)
+        a = price_closed_reduced(market, 500, side)
+        b = price_backward_induction(market, 500, side)
+        assert abs(a - b) <= 1e-10 * abs(b), f"{(a - b) / b:.2e}"
 
 
 class TestReducedPackedPass:
