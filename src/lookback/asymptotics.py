@@ -40,7 +40,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Literal
 
-from .continuous import bs_price, bs_terms, d_values
+from .continuous import BsTerms, DValues, bs_price, bs_terms, d_values
 from .errors import DomainError
 from .lattice import MarketState, Side, price_closed_reduced, tree_params
 
@@ -77,10 +77,11 @@ def kappa_n(market: MarketState, n: int, side: Side) -> float:
     return tree_params(market, n, side).kappa
 
 
-def _c2_affine(market: MarketState, side: Side) -> tuple[float, float]:
-    """(a, b) with c2(kappa) = a + b * kappa, per the side and rate branch."""
-    terms = bs_terms(market, side)
-    d = d_values(market, side)
+def _c2_affine(
+    market: MarketState, side: Side, terms: BsTerms, d: DValues
+) -> tuple[float, float]:
+    """(a, b) with c2(kappa) = a + b * kappa, per the side and rate branch;
+    terms and d are ``bs_terms`` and ``d_values`` of the same market and side."""
     spot, extremum, sigma, rate, tau = (
         market.spot, market.extremum, market.sigma, market.rate, market.tau,
     )
@@ -135,7 +136,7 @@ def expansion_coeffs(market: MarketState, side: Side) -> PriceExpansion:
             terms.theta1 * terms.b1 + terms.theta2 * terms.b3
         )
         branch = "positive"
-    a, b = _c2_affine(market, side)
+    a, b = _c2_affine(market, side, terms, d_values(market, side))
 
     def c2_at(n: int) -> float:
         return a + b * kappa_n(market, n, side)

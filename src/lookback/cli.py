@@ -188,6 +188,10 @@ def cmd_cdf_bench(
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be strictly increasing, got {tuple(n_list)}")
+    if any(n < 2 for n in n_list):
+        raise DomainError(f"n_list must be >= 2, got {tuple(n_list)}")
+    if j_spec != "median" and not math.isfinite(j_spec):
+        raise DomainError(f"j ratio must be finite, got {j_spec}")
     base, drift = p_spec
 
     def build_row(n: int) -> tuple[int, float, float, float, float]:

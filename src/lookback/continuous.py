@@ -99,17 +99,20 @@ def bs_terms(market: MarketState, side: Side) -> BsTerms:
 
 
 def bs_price(market: MarketState, side: Side) -> float:
-    """Continuous-model lookback price, dispatching on rate == 0 and side."""
+    """Continuous-model lookback price, dispatching on rate == 0.
+
+    The put is the negated call expression on the put's B-terms, except
+    that B_4* enters both sides with the same sign.
+    """
     t = bs_terms(market, side)
     spot, extremum = market.spot, market.extremum
+    sign = -1.0 if side == "call" else 1.0
     if market.rate == 0.0:
         assert t.b3_star is not None and t.b4_star is not None
-        if side == "call":
-            return spot - spot * t.b1 - extremum * t.b2 - spot * (t.b3_star - t.b4_star)
-        return -spot + spot * t.b1 + extremum * t.b2 + spot * (t.b3_star + t.b4_star)
-    assert t.theta1 is not None and t.theta2 is not None and t.b3 is not None
-    if side == "call":
-        return (spot - spot * t.theta1 * t.b1 - extremum * t.b2
+        call = (spot - spot * t.b1 - extremum * t.b2
+                - spot * (t.b3_star + sign * t.b4_star))
+    else:
+        assert t.theta1 is not None and t.theta2 is not None and t.b3 is not None
+        call = (spot - spot * t.theta1 * t.b1 - extremum * t.b2
                 + spot * (1.0 - t.theta2) * t.b3)
-    return (-spot + spot * t.theta1 * t.b1 + extremum * t.b2
-            - spot * (1.0 - t.theta2) * t.b3)
+    return -sign * call

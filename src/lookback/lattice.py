@@ -18,11 +18,9 @@ Three prices of the same quantity are implemented:
   reflection-principle path counts, every weight read from one binomial
   pmf row and the absorbed double sum folded into prefix sums, O(n);
 * ``price_closed_reduced``: the same value rearranged into binomial
-  CDFs, one arrangement for both sides, O(sqrt(n)) time per CDF.
-  Against ``price_closed`` on the four table markets it stays within
-  2.5e-13 relative at n = 1e4, 1e5 and 1e6, except on the zero-rate
-  branch: the call reads +1.8e-13, +1.3e-12 and -8.0e-12 there, the put
-  -1.2e-13, -6.5e-13 and +1.3e-11;
+  CDFs, one arrangement for both sides and both rate branches,
+  O(sqrt(n)) time per CDF.  Against ``price_closed`` on the four table
+  markets it stays within 2.5e-13 relative at n = 1e4, 1e5 and 1e6;
 * ``price_backward_induction``: risk-neutral dynamic programming on the
   level lattice, an independent O(n^2) oracle.
 
@@ -415,24 +413,27 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     sign (c^level - 1) (sign = -1 for calls, +1 for puts), V1 and V2 are
     upper-CDF differences in w and w' at the split indices
     j1 = n - floor((n + j0_floor)/2) and j2 = j1 + j0_floor + 1.  The V3
-    double sum telescopes into three lower CDFs at j3 = j1 - 1, with
-    geometric ratios rho and rho c for r > 0 and, at r = 0 where rho c = 1,
-    with k C(n,k) = n C(n-1,k-1); a parity-edge pmf term adds the top
-    absorbed level when n - j0_floor - 1 is even.  ``side`` only picks the
-    scalars; each keeps the form that is exact for its side (for a put,
-    rho - 1 = -Qm1/Q and rho c - 1 = uWm1; for a call, Qm1 and Qdm1).
+    double sum telescopes into coef Bin_{1-w'}(j3) + extra
+    - rho^{-(j0_floor+1)} Bin_{1-w}(j3) at j3 = j1 - 1, plus a parity-edge
+    pmf term when n - j0_floor - 1 is even.  For r > 0 the geometric
+    ratios rho and rho c give coef, and extra is a multiple of Bin_w(j3).
+    At r = 0, where rho c = 1, k C(n,k) = n C(n-1,k-1) and, with
+    p = 1 - w', Bin_{n-1,p}(j3-1) = Bin_{n,p}(j3) - ((n-j3)/n) pmf_{n,p}(j3)
+    turn n_inner Bin_{n,p}(j3) - 2np Bin_{n-1,p}(j3-1) into
+    (n_inner - 2np) Bin_{n,p}(j3) + 2p(n - j3) pmf_{n,p}(j3).  ``side``
+    picks only the scalars and the rate only coef and extra; each scalar
+    keeps the form that is exact for its side (for a put, rho - 1 =
+    -Qm1/Q and rho c - 1 = uWm1; for a call, Qm1 and Qdm1).
 
-    Seven CDFs of O(sqrt(n)) time each (see ``binom_cdf_exact``) go to one
-    ``binom_cdfs`` call, which evaluates their first chunks in shared pmf
-    kernel calls of at most 4,096 entries: on the table markets one call
-    up to n = 5000, where every sum ends in its first chunk, and a call
-    per CDF from n = 1.2e5 on, where one chunk passes 2,048 entries.  The
-    parity-edge term is one scalar ``binom_pmf`` call.  Against
-    ``price_closed`` on the four table markets the result stays within
-    3.1e-14 relative on the r > 0 calls and 2.5e-13 on the r > 0 puts up
-    to n = 1e6; on the zero-rate branch the call reads +1.8e-13, +1.3e-12
-    and -8.0e-12 at n = 1e4, 1e5 and 1e6, the put -1.2e-13, -6.5e-13 and
-    +1.3e-11.
+    Seven CDFs (six at r = 0) of O(sqrt(n)) time each (see
+    ``binom_cdf_exact``) go to one ``binom_cdfs`` call, which evaluates
+    their first chunks in shared pmf kernel calls of at most 4,096
+    entries: on the table markets one call up to n = 5000, where every
+    sum ends in its first chunk, and a call per CDF from n = 1.2e5 on.
+    The pmf terms are scalar ``binom_pmf`` calls.  Against
+    ``price_closed`` on the table markets at n = 1e4, 1e5 and 1e6 the
+    result stays within 3.1e-14 relative on T1, 2.5e-13 on T3, 3.9e-14
+    on T2 and 1.2e-13 on T4.
 
     Branch dispatch is on rate == 0.0 exactly, never an epsilon: the two
     cases are distinct exact formulas and their r -> 0 continuity is a
@@ -465,11 +466,10 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     n_inner = n - floor - 1
     specs = [(n, wp, j1 - 1, True), (n, w, j1 - 1, True)]
     if n_inner >= 0:
-        specs += [(n, wp, j2 - 1, True), (n, w, j2 - 1, True)]
-        if market.rate == 0.0:
-            specs += [(n, wp_c, j3, False), (n - 1, wp_c, j3 - 1, False), (n, w_c, j3, False)]
-        else:
-            specs += [(n, wp_c, j3, False), (n, w, j3, False), (n, w_c, j3, False)]
+        specs += [(n, wp, j2 - 1, True), (n, w, j2 - 1, True),
+                  (n, wp_c, j3, False), (n, w_c, j3, False)]
+        if market.rate != 0.0:
+            specs.append((n, w, j3, False))
     cdf = binom_cdfs(specs)
     # extremum/spot as c^{j0}: consistent with the snapped level
     ms_disc = math.exp(sign * par.j0 * par.s) * disc
@@ -482,19 +482,14 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     # n - floor - 1 and the step count share parity
     edge = one_m_cinv * binom_pmf(n, w, j3) if n_inner % 2 == 0 else 0.0
     if market.rate == 0.0:
-        bin_wp_c, bin_wp_c_short, bin_w_c = cdf[4:]
-        v3 = (one_m_cinv * (n_inner * bin_wp_c - 2.0 * n * wp_c * bin_wp_c_short)
-              + c_inv * bin_wp_c
-              - math.exp(sign * (floor + 1) * par.s) * bin_w_c
-              + edge)
+        # k C(n,k) = n C(n-1,k-1) and Bin_{n-1}(j3-1) = Bin_n(j3) - (n-j3)/n pmf_n(j3)
+        coef = one_m_cinv * (n_inner - 2.0 * n * wp_c) + c_inv
+        extra = one_m_cinv * 2.0 * wp_c * (n - j3) * binom_pmf(n, wp_c, j3)
     else:
-        bin_wp_c, bin_w, bin_w_c = cdf[4:]
         c_a = rho * (c * rc_m1 + cm1) / rc_m1  # rho (rho c^2 - 1) / (rho c - 1)
-        c_b = rho_m1 / rc_m1 - 1.0
-        v3 = (disc * c_a * math.exp(-(floor + 2) * math.log1p(rc_m1)) * bin_wp_c
-              + c_b * bin_w
-              - math.exp(-(floor + 1) * log_rho) * bin_w_c
-              + edge)
+        coef = disc * c_a * math.exp(-(floor + 2) * math.log1p(rc_m1))
+        extra = (rho_m1 / rc_m1 - 1.0) * cdf[6]
+    v3 = coef * cdf[4] + extra - math.exp(-(floor + 1) * log_rho) * cdf[5] + edge
     return spot * (v1 - v2 + sign * v3)
 
 

@@ -386,9 +386,10 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool]]) -> list[float]:
     The first chunks of the walks, in spec order, are packed into kernel
     calls of at most ``_PACK_MAX`` entries; each walk then goes on alone
     only if its tail rule is not yet met.  A call pays a fixed numpy cost
-    that dominates a chunk of a few hundred terms, so a price that needs
-    seven CDFs at n <= 5000 makes one call instead of seven.  A walk whose
-    chunk is alone in its pack runs exactly as the one-CDF functions do.
+    that dominates a chunk of a few hundred terms, so a reduced price's
+    six or seven CDFs at n <= 5000 take one call, not one each.  A walk
+    whose chunk is alone in its pack runs exactly as the one-CDF
+    functions do.
     """
     out = []
     walks = []  # (index into out, n, p, start, step, end of the first chunk)

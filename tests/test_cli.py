@@ -321,6 +321,19 @@ class TestMainErrors:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("args", [
+        ["--n", "10,20", "--j-rule", "nan"],
+        ["--n", "10,20", "--j-rule", "inf"],
+        ["--n", "10,20", "--j-rule=-inf"],
+        ["--n", "0,5"],
+    ])
+    def test_cdf_bench_outside_domain_exits_2(self, capsys, args):
+        assert main(["cdf-bench", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_budget_error_exits_3(self, capsys):
         code = main(PRICE_ARGS + ["--n", "100,6000", "--method", "tree"])
         assert code == 3

@@ -27,6 +27,7 @@ from lookback import (
     tree_params,
 )
 from lookback import numerics
+from lookback.cli import TABLE_N_VALUES
 from lookback.errors import BudgetError, DomainError, ModelError
 
 from .oracles import closed_sum_mp, lattice_ratios_mp, walk_level_paths, walk_price
@@ -400,6 +401,24 @@ class TestClosedSum:
         a = price_closed(market, n, side)
         b = price_closed_reduced(market, n, side)
         assert abs(a - b) <= 1e-10 * abs(a), f"n={n}: {(b - a) / a:.2e}"
+
+    @pytest.mark.parametrize("market,side", [(T2, "call"), (T4, "put")])
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_zero_rate_reduced_does_not_drift(self, market, side, n):
+        """The zero-rate V3 sums no CDF of length n - 1 (worst seen
+        1.2e-13, T4 at n = 1e6)."""
+        a = price_closed(market, n, side)
+        b = price_closed_reduced(market, n, side)
+        assert abs(a - b) <= 3e-13 * abs(a), f"n={n}: {(b - a) / a:.2e}"
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    def test_reduced_error_in_printed_scaled2(self, market, side):
+        """scaled2 = (price_n - c0 - c1/sqrt(n)) n carries n times the
+        pricer's error (worst seen 2.3e-7, T4 at n = 1e5)."""
+        for n in TABLE_N_VALUES:
+            a = price_closed(market, n, side)
+            b = price_closed_reduced(market, n, side)
+            assert abs(a - b) * n <= 5e-7, f"n={n}: {abs(a - b) * n:.2e}"
 
 
 class TestReducedBothSides:
