@@ -11,7 +11,6 @@ from __future__ import annotations
 from .asymptotics import (
     PriceExpansion,
     expansion_coeffs,
-    expansion_coeffs_at_emission,
     expansion_price,
     kappa_n,
     residual_scan,
@@ -32,16 +31,13 @@ from .errors import (
     ModelError,
 )
 from .lattice import (
-    ENUMERATION_MAX_N,
     TREE_MAX_N,
     MarketState,
-    PathClass,
     PathCount,
     Side,
     TreeParams,
     iter_path_counts,
     path_count,
-    path_count_enumerate,
     price_backward_induction,
     price_closed,
     price_closed_reduced,
@@ -73,16 +69,13 @@ __all__ = [
     "binom_cdf_complement",
     "binom_cdfs",
     "Side",
-    "PathClass",
     "MarketState",
     "TreeParams",
     "PathCount",
-    "ENUMERATION_MAX_N",
     "TREE_MAX_N",
     "tree_params",
     "path_count",
     "iter_path_counts",
-    "path_count_enumerate",
     "price_closed",
     "price_closed_reduced",
     "price_backward_induction",
@@ -94,7 +87,6 @@ __all__ = [
     "PriceExpansion",
     "kappa_n",
     "expansion_coeffs",
-    "expansion_coeffs_at_emission",
     "expansion_price",
     "residual_scan",
     "CdfExpansion",

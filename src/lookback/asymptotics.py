@@ -41,14 +41,13 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .continuous import BsTerms, DValues, bs_price, bs_terms, d_values
-from .errors import DomainError
+from .errors import DomainError, ModelError
 from .lattice import MarketState, Side, price_closed_reduced, tree_params
 
 __all__ = [
     "PriceExpansion",
     "kappa_n",
     "expansion_coeffs",
-    "expansion_coeffs_at_emission",
     "expansion_price",
     "residual_scan",
 ]
@@ -95,6 +94,8 @@ def _c2_affine(
         assert terms.b3_star is not None and terms.b4_star is not None
         base = spot * sigma**2 * tau / 6.0
         t2_star_const = 0.5 + sigma**2 * tau / 12.0 - d.d2 * lsm / (6.0 * st)
+        if not math.isfinite(t2_star_const):
+            raise ModelError(f"T_2* overflows in d_2 log(S/M) / sigma sqrt(tau), got sigma={sigma}")
         a = (bracket_sign
              * base * ((3.0 - sigma**2 * tau / 4.0) * terms.b1 + terms.b3_star)
              + spot * t2_star_const * terms.b4_star)
@@ -102,6 +103,8 @@ def _c2_affine(
         return a, b
     assert terms.theta1 is not None and terms.theta2 is not None
     assert terms.b3 is not None
+    if sigma**4 == 0.0:
+        raise ModelError(f"sigma**4 underflows to 0 in 4r^2/sigma^4, got sigma={sigma}")
     # (S/M)^{(1 - 2r/sigma^2)/2} e^{-(d1^2 + d4^2)/4} in one exp: for a small
     # sigma the power overflows where the Gaussian factor underflows
     b4 = st * math.exp(0.5 * (1.0 - 2.0 * rate / sigma**2) * lsm
@@ -143,51 +146,6 @@ def expansion_coeffs(market: MarketState, side: Side) -> PriceExpansion:
 
     return PriceExpansion(
         c0=bs_price(market, side), c1=c1, c2_at=c2_at, side=side,
-        rate_branch=branch,
-    )
-
-
-def expansion_coeffs_at_emission(
-    spot: float, sigma: float, rate: float, tau: float, side: Side
-) -> PriceExpansion:
-    """Expansion at emission, where spot = extremum.
-
-    With log(S/M) = 0 the starting level is j0 = 0 for every n, so
-    kappa_n = 0 identically and the coefficients lose their n
-    dependence: T_1 = 0, T_2 = 1/2, T_2* = 1/2 + sigma^2 tau/12, and
-    B_4 = sigma sqrt(tau) e^{-(d_1^2 + d_4^2)/4} / sqrt(2 pi).  This is
-    the specialization the general coefficients must collapse to.
-    """
-    market = MarketState(spot=spot, extremum=spot, sigma=sigma, rate=rate, tau=tau)
-    st = sigma * math.sqrt(tau)
-    d = d_values(market, side)
-    flip = 1.0 if side == "put" else -1.0
-    disc = math.exp(-rate * tau)
-    from .numerics import std_normal_cdf, std_normal_pdf
-
-    b1 = std_normal_cdf(flip * d.d1)
-    bracket_sign = -1.0 if side == "call" else 1.0
-    if rate == 0.0:
-        b3_star = 0.5 * sigma**2 * tau * b1
-        b4_star = st * std_normal_pdf(d.d1)
-        c1 = -spot * (st / 2.0) * (2.0 * b1 + b3_star + bracket_sign * b4_star)
-        base = spot * sigma**2 * tau / 6.0
-        t2_star = 0.5 + sigma**2 * tau / 12.0
-        c2 = (bracket_sign * base * ((3.0 - sigma**2 * tau / 4.0) * b1 + b3_star)
-              + spot * t2_star * b4_star)
-        branch: Literal["positive", "zero"] = "zero"
-    else:
-        theta1 = 1.0 + sigma**2 / (2.0 * rate)
-        theta2 = 1.0 - sigma**2 / (2.0 * rate)
-        b3 = disc * std_normal_cdf(-flip * d.d3)
-        b4 = st * math.exp(-0.25 * (d.d1**2 + d.d4**2)) / _SQRT_2PI
-        c1 = -spot * (st / 2.0) * (theta1 * b1 + theta2 * b3)
-        base = spot * sigma**2 * tau / 12.0
-        c2 = (bracket_sign * base * ((theta1 + 2.0) * b1 + (theta2 + 2.0) * b3)
-              + spot * 0.5 * b4)
-        branch = "positive"
-    return PriceExpansion(
-        c0=bs_price(market, side), c1=c1, c2_at=lambda n: c2, side=side,
         rate_branch=branch,
     )
 

@@ -50,6 +50,7 @@ from .binom_expansion import cdf_expansion
 from .continuous import bs_price
 from .errors import BudgetError, DomainError, LookbackError
 from .lattice import (
+    TREE_MAX_N,
     MarketState,
     Side,
     price_backward_induction,
@@ -74,12 +75,6 @@ __all__ = [
 Method = Literal["closed", "reduced", "tree", "expansion", "bs"]
 OutputFormat = Literal["csv", "json"]
 TableId = Literal["T1", "T2", "T3", "T4"]
-
-# Largest n for the lattice oracles and for figure5's n_max.  The tree
-# costs O(n^2) per n (TREE_MAX_N), and closed, though O(n) per n, is
-# held to the range where it is checked against the tree; a whole grid
-# 1..N then costs O(N^2) either way.
-SERIES_MAX_N = 5000
 
 TABLE_N_VALUES = (1000, 5000, 10000, 50000, 100000)
 TABLE_MARKETS: dict[str, tuple[MarketState, Side]] = {
@@ -109,9 +104,9 @@ class RunConfig:
             raise DomainError(f"n_values must be strictly increasing, got {self.n_values}")
         if self.n_values[0] < 1:
             raise DomainError(f"n_values must be >= 1, got {self.n_values[0]}")
-        if self.method in ("tree", "closed") and self.n_values[-1] > SERIES_MAX_N:
+        if self.method in ("tree", "closed") and self.n_values[-1] > TREE_MAX_N:
             raise BudgetError(
-                f"method {self.method!r} is limited to n <= {SERIES_MAX_N}, "
+                f"method {self.method!r} is limited to n <= {TREE_MAX_N}, "
                 f"got {self.n_values[-1]}; use 'reduced' for large n"
             )
 
@@ -167,8 +162,8 @@ def cmd_table(table_id: TableId) -> list[TableRow]:
 
 def cmd_figure5(n_max: int) -> list[tuple[int, float, float]]:
     """(n, price_n, price_bs) for n = 2..n_max on the T1 market."""
-    if not 2 <= n_max <= SERIES_MAX_N:
-        raise DomainError(f"n_max must be in [2, {SERIES_MAX_N}], got {n_max}")
+    if not 2 <= n_max <= TREE_MAX_N:
+        raise DomainError(f"n_max must be in [2, {TREE_MAX_N}], got {n_max}")
     market, side = TABLE_MARKETS["T1"]
     constant = bs_price(market, side)
     return [(n, price_closed_reduced(market, n, side), constant)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ModelError
 from .lattice import MarketState, Side
 from .numerics import _log_std_normal_cdf, std_normal_cdf, std_normal_pdf
 
@@ -89,12 +90,16 @@ def bs_terms(market: MarketState, side: Side) -> BsTerms:
         b3_star = (lsm + 0.5 * market.sigma**2 * market.tau) * b1
         b4_star = st * std_normal_pdf(d.d1)
         return BsTerms(b1=b1, b2=b2, b3_star=b3_star, b4_star=b4_star)
+    if market.sigma**2 == 0.0:
+        raise ModelError(f"sigma**2 underflows to 0 in 2r/sigma^2, got sigma={market.sigma}")
     theta1 = 1.0 + market.sigma**2 / (2.0 * market.rate)
     theta2 = 1.0 - market.sigma**2 / (2.0 * market.rate)
     # (S/M)^{-2r/sigma^2} Phi(-flip d3) in log space: for a small sigma or
     # a spot far from the extremum the power overflows where Phi underflows
-    b3 = disc * math.exp(-(2.0 * market.rate / market.sigma**2) * lsm
-                         + _log_std_normal_cdf(-flip * d.d3))
+    log_power = -(2.0 * market.rate / market.sigma**2) * lsm
+    if log_power == math.inf:
+        raise ModelError(f"(S/M)^(-2r/sigma^2) overflows, got sigma={market.sigma}")
+    b3 = disc * math.exp(log_power + _log_std_normal_cdf(-flip * d.d3))
     return BsTerms(b1=b1, b2=b2, theta1=theta1, theta2=theta2, b3=b3)
 
 

@@ -30,11 +30,13 @@ never reach the absorbing region, partial binomial C(n,k) - C(n,k+f+1)
 (reflection correction, f = floor(j0)) for unabsorbed paths started low
 enough to have lost reflected twins, and the inner Cheuk-Vorst counts
 C(n,k-j) - C(n,k-j-1) for absorbed paths ending on integer levels.
+``iter_path_counts`` writes the class ranges once; no pricer reads them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -54,14 +56,12 @@ __all__ = [
     "tree_params",
     "path_count",
     "iter_path_counts",
-    "path_count_enumerate",
     "price_closed",
     "price_closed_reduced",
     "price_backward_induction",
 ]
 
 Side = Literal["call", "put"]
-PathClass = Literal["binomial", "partial_binomial", "inner_cv"]
 
 # Levels within 1e-9 of an integer are treated as exactly integer: the
 # count-class branches differ between the two cases and a floating
@@ -69,8 +69,11 @@ PathClass = Literal["binomial", "partial_binomial", "inner_cv"]
 # below any economically meaningful level difference.
 LEVEL_SNAP = 1e-9
 
-ENUMERATION_MAX_N = 22
+# Largest n of the O(n^2) tree, and of closed and figure5 on the CLI: a
+# whole grid 1..N costs O(N^2) either way.
 TREE_MAX_N = 5000
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,6 @@ class PathCount:
     j: float
     k: int
     count: int
-    class_tag: PathClass
 
 
 def _comb0(n: int, m: int) -> int:
@@ -188,6 +190,18 @@ def _split_level(j0: float) -> tuple[int, float]:
         return int(nearest), 0.0
     floor = math.floor(j0)
     return int(floor), j0 - floor
+
+
+def _payoffs(levels: np.ndarray, s: float, side: Side) -> np.ndarray:
+    """1 - u^-level (call) or u^level - 1 (put) per level, u = e^s; a put
+    level whose u^level overflows is refused rather than priced inf."""
+    sign = -1.0 if side == "call" else 1.0
+    try:
+        with np.errstate(over="raise"):
+            return sign * np.expm1(sign * levels * s)
+    except FloatingPointError:
+        raise ModelError(f"put payoff u^level - 1 overflows: need level * s < "
+                         f"{_LOG_FLOAT_MAX:.6g}, got s = {s:.6g}") from None
 
 
 def _initial_level(market: MarketState, side: Side) -> float:
@@ -214,6 +228,11 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
             f"n too small for given r, sigma, tau: need r*tau/n < sigma*sqrt(tau/n), "
             f"got n={n}, r={market.rate}, sigma={market.sigma}, tau={market.tau}"
         )
+    if not s < _LOG_FLOAT_MAX:
+        raise ModelError(
+            f"n too small for given sigma, tau: u = e^(sigma*sqrt(tau/n)) overflows, "
+            f"got n={n}, sigma={market.sigma}, tau={market.tau}"
+        )
     u = math.exp(s)
     d = math.exp(-s)
     um1 = math.expm1(s)
@@ -229,6 +248,8 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     two_q_m1 = (a - 2.0 * em) / ud
     two_p_m1 = (2.0 * ep - a) / ud
     raw_j0 = _initial_level(market, side) / s
+    if not math.isfinite(raw_j0):
+        raise ModelError(f"start level log(S/M)/s overflows, got s = {s}")
     floor, frac = _split_level(raw_j0)
     return TreeParams(
         n=n, s=s, u=u, d=d, um1=um1, p_up=p, q_adj=q,
@@ -243,113 +264,42 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
 def path_count(j0: float, j: float, k: int, n: int) -> int:
     """Lambda^{j0}_{j,k,n}: paths from level j0 with k ups ending at level j.
 
-    Out-of-range (j, k) return 0.  The three class ranges are pairwise
-    disjoint in (j, k), including for integer j0 where unabsorbed levels
-    are themselves integers.
+    The count of the ``iter_path_counts`` cell with that k whose level is
+    within LEVEL_SNAP of j; 0 when there is none (out-of-range j or k).
+    """
+    for cell in iter_path_counts(j0, n):
+        if cell.k == k and abs(cell.j - j) < LEVEL_SNAP:
+            return cell.count
+    return 0
+
+
+def iter_path_counts(j0: float, n: int) -> Iterator[PathCount]:
+    """All path counts with nonzero count, each (j, k) exactly once.
+
+    The three class ranges are pairwise disjoint in (j, k), including for
+    integer j0 where unabsorbed levels are themselves integers.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if j0 < 0.0:
         raise DomainError(f"j0 must be nonnegative, got {j0}")
-    record = _classify_path_count(j0, j, k, n)
-    return 0 if record is None else record.count
-
-
-def _classify_path_count(j0: float, j: float, k: int, n: int) -> PathCount | None:
     floor, frac = _split_level(j0)
     j0_eff = floor + frac
-    if k < 0 or k > n:
-        return None
-    k_partial_min = n - (n + floor) // 2
-    # unabsorbed terminal level for k ups is exactly j0 + 2k - n
-    if abs(j - (j0_eff + (2 * k - n))) < LEVEL_SNAP:
-        if n - floor <= k <= n:
-            return PathCount(j=j0_eff + (2 * k - n), k=k, count=math.comb(n, k),
-                             class_tag="binomial")
-        if k_partial_min <= k <= n - floor - 1:
-            count = math.comb(n, k) - math.comb(n, k + floor + 1)
-            return PathCount(j=j0_eff + (2 * k - n), k=k, count=count,
-                             class_tag="partial_binomial")
-    j_int = round(j)
-    if abs(j - j_int) < LEVEL_SNAP and 0 <= j_int <= n - floor - 1:
-        if j_int <= k <= (n - floor - 1 + j_int) // 2:
-            count = _comb0(n, k - j_int) - _comb0(n, k - j_int - 1)
-            return PathCount(j=float(j_int), k=k, count=count, class_tag="inner_cv")
-    return None
-
-
-def iter_path_counts(j0: float, n: int) -> Iterator[PathCount]:
-    """All path counts with nonzero count, each (j, k) exactly once."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if j0 < 0.0:
-        raise DomainError(f"j0 must be nonnegative, got {j0}")
-    floor, frac = _split_level(j0)
-    j0_eff = floor + frac
+    # plain binomial: too high to be absorbed
     for k in range(max(n - floor, 0), n + 1):
-        yield PathCount(j=j0_eff + (2 * k - n), k=k, count=math.comb(n, k),
-                        class_tag="binomial")
+        yield PathCount(j=j0_eff + (2 * k - n), k=k, count=math.comb(n, k))
+    # partial binomial: unabsorbed, minus the reflected twins
     k_partial_min = n - (n + floor) // 2
     for k in range(max(k_partial_min, 0), n - floor):
         count = math.comb(n, k) - math.comb(n, k + floor + 1)
         if count:
-            yield PathCount(j=j0_eff + (2 * k - n), k=k, count=count,
-                            class_tag="partial_binomial")
+            yield PathCount(j=j0_eff + (2 * k - n), k=k, count=count)
+    # inner Cheuk-Vorst: absorbed, ending on integer levels
     for j_int in range(0, n - floor):
         for k in range(j_int, (n - floor - 1 + j_int) // 2 + 1):
             count = _comb0(n, k - j_int) - _comb0(n, k - j_int - 1)
             if count:
-                yield PathCount(j=float(j_int), k=k, count=count,
-                                class_tag="inner_cv")
-
-
-def path_count_enumerate(j0: float, n: int) -> dict[tuple[float, int], int]:
-    """Exhaustive tally over all 2^n up/down words of (terminal level, ups).
-
-    Level dynamics j -> j+1 (up), j -> max(j-1, 0) (down).  States are
-    tracked symbolically (fractional offset vs. absorbed integer) so the
-    returned keys are exact.  Budget: n <= 22.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if j0 < 0.0:
-        raise DomainError(f"j0 must be nonnegative, got {j0}")
-    if n > ENUMERATION_MAX_N:
-        raise BudgetError(
-            f"path_count_enumerate is limited to n <= {ENUMERATION_MAX_N} "
-            f"(2^n words), got {n}"
-        )
-    floor, frac = _split_level(j0)
-    # state: ("frac", i) = level j0 + i (only while i >= -floor), or
-    # ("int", m) = absorbed integer level m
-    start = ("int", floor) if frac == 0.0 else ("frac", 0)
-    states: dict[tuple[str, int], dict[int, int]] = {start: {0: 1}}
-    for _ in range(n):
-        nxt: dict[tuple[str, int], dict[int, int]] = {}
-
-        def _add(state: tuple[str, int], k: int, count: int) -> None:
-            nxt.setdefault(state, {})
-            nxt[state][k] = nxt[state].get(k, 0) + count
-
-        for (kind, i), by_k in states.items():
-            for k, count in by_k.items():
-                if kind == "frac":
-                    _add(("frac", i + 1), k + 1, count)
-                    if i - 1 >= -floor:
-                        _add(("frac", i - 1), k, count)
-                    else:
-                        _add(("int", 0), k, count)
-                else:
-                    _add(("int", i + 1), k + 1, count)
-                    _add(("int", max(i - 1, 0)), k, count)
-        states = nxt
-    out: dict[tuple[float, int], int] = {}
-    j0_eff = floor + frac
-    for (kind, i), by_k in states.items():
-        level = j0_eff + i if kind == "frac" else float(i)
-        for k, count in by_k.items():
-            out[(level, k)] = out.get((level, k), 0) + count
-    return out
+                yield PathCount(j=float(j_int), k=k, count=count)
 
 
 def price_closed(market: MarketState, n: int, side: Side) -> float:
@@ -376,14 +326,13 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     s = par.s
     floor = par.j0_floor
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
-    sign = -1.0 if side == "call" else 1.0  # payoff = sign * expm1(sign * level * s)
     log_pmf = _binom_pmf_log_vec(np.arange(n + 1, dtype=np.int64), _pmf_consts(n, w_up))
 
     # k below n - (n+f)/2 cannot stay unabsorbed; for j0 > n no path is
     # ever absorbed and every k >= 0 is plain binomial
     k_min = max(n - (n + floor) // 2, 0)
     levels = par.j0 + 2.0 * np.arange(k_min, n + 1) - n
-    payoffs = sign * np.expm1(sign * levels * s)
+    payoffs = _payoffs(levels, s, side)
     v1 = math.fsum((payoffs * np.exp(log_pmf[k_min:])).tolist())
 
     n_inner = n - floor - 1  # top absorbed level; negative when j0 >= n
@@ -400,7 +349,7 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     log_prefix = np.logaddexp.accumulate(log_pmf[: i.size] + log_ratio)
     j = np.arange(n_inner + 1)
     rows = np.exp(j * log_rho + log_prefix[(n_inner + j) // 2 - j])
-    v3 = math.fsum((sign * np.expm1(sign * j * s) * rows).tolist())
+    v3 = math.fsum((_payoffs(j, s, side) * rows).tolist())
     return market.spot * (v1 - v2 + v3)
 
 
@@ -529,13 +478,12 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
     w_dn = 1.0 - w_up
     lo = max(0, floor - n)  # lowest level that can reach the start
-    sign = -1.0 if side == "call" else 1.0
 
     int_levels = np.arange(lo, floor + n + 1, dtype=np.float64)
-    g = sign * np.expm1(sign * int_levels * s)
+    g = _payoffs(int_levels, s, side)
     has_frac = frac > 0.0
     if has_frac:
-        f_col = sign * np.expm1(sign * (frac + int_levels) * s)
+        f_col = _payoffs(frac + int_levels, s, side)
 
     # Two columns per level set take turns as source and target, so the
     # loop allocates nothing: fresh per-step temporaries land on whatever

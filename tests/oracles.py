@@ -1,18 +1,27 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: exact rational arithmetic via
-fractions.Fraction and math.comb, 40-digit mpmath sums, and O(2^n)
-per-path enumeration over itertools.product.  None of it shares code
-with the package under test.
+fractions.Fraction and math.comb, 40-digit mpmath sums, and an exhaustive
+walk of the level process that tallies every one of the 2^n up/down
+words by endpoint.  None of it shares code with the package under test,
+with one exception: ``expansion_coeffs_at_emission`` is a specialisation
+check, not an independent evaluation.  It shares ``d_values``, Phi and
+``bs_price`` with the package and rewrites only the c1 and c2 algebra at
+spot = extremum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
+from typing import Literal
 
 import mpmath as mp
+
+from lookback import MarketState, PriceExpansion, Side, bs_price, d_values
+from lookback.numerics import std_normal_cdf, std_normal_pdf
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def binom_pmf_exact(n: int, p: float, k: int) -> Fraction:
@@ -175,20 +184,20 @@ def walk_level_paths(j0: Fraction, n: int) -> dict[tuple[Fraction, int], int]:
 
     The level starts at j0 >= 0, moves to level+1 on an up step and to
     max(level-1, 0) on a down step.  Returns {(final_level, ups): count}.
-    Exact Fraction arithmetic keeps fractional starts unambiguous.
+    The words are tallied one step at a time: a {(level, ups): count}
+    table is carried forward, so every word is counted once without
+    being listed, in O(n^3) rather than O(2^n) time.  Exact Fraction
+    arithmetic keeps fractional starts unambiguous.
     """
     if n < 0 or j0 < 0:
         raise ValueError("need n >= 0 and j0 >= 0")
-    counts: dict[tuple[Fraction, int], int] = {}
-    for steps in itertools.product((0, 1), repeat=n):
-        level = j0
-        for up in steps:
-            if up:
-                level += 1
-            else:
-                level = max(level - 1, Fraction(0))
-        key = (level, sum(steps))
-        counts[key] = counts.get(key, 0) + 1
+    counts: dict[tuple[Fraction, int], int] = {(j0, 0): 1}
+    for _ in range(n):
+        stepped: dict[tuple[Fraction, int], int] = {}
+        for (level, ups), count in counts.items():
+            for key in ((level + 1, ups + 1), (max(level - 1, Fraction(0)), ups)):
+                stepped[key] = stepped.get(key, 0) + count
+        counts = stepped
     return counts
 
 
@@ -217,3 +226,47 @@ def walk_price(
             payoff = math.exp(lvl * step) - 1.0
         acc += prob * payoff
     return spot * acc
+
+
+def expansion_coeffs_at_emission(
+    spot: float, sigma: float, rate: float, tau: float, side: Side
+) -> PriceExpansion:
+    """Expansion at emission, where spot = extremum.
+
+    With log(S/M) = 0 the starting level is j0 = 0 for every n, so
+    kappa_n = 0 identically and the coefficients lose their n
+    dependence: T_1 = 0, T_2 = 1/2, T_2* = 1/2 + sigma^2 tau/12, and
+    B_4 = sigma sqrt(tau) e^{-(d_1^2 + d_4^2)/4} / sqrt(2 pi).  This is
+    the specialization the general coefficients must collapse to.
+    """
+    market = MarketState(spot=spot, extremum=spot, sigma=sigma, rate=rate, tau=tau)
+    st = sigma * math.sqrt(tau)
+    d = d_values(market, side)
+    flip = 1.0 if side == "put" else -1.0
+    disc = math.exp(-rate * tau)
+
+    b1 = std_normal_cdf(flip * d.d1)
+    bracket_sign = -1.0 if side == "call" else 1.0
+    if rate == 0.0:
+        b3_star = 0.5 * sigma**2 * tau * b1
+        b4_star = st * std_normal_pdf(d.d1)
+        c1 = -spot * (st / 2.0) * (2.0 * b1 + b3_star + bracket_sign * b4_star)
+        base = spot * sigma**2 * tau / 6.0
+        t2_star = 0.5 + sigma**2 * tau / 12.0
+        c2 = (bracket_sign * base * ((3.0 - sigma**2 * tau / 4.0) * b1 + b3_star)
+              + spot * t2_star * b4_star)
+        branch: Literal["positive", "zero"] = "zero"
+    else:
+        theta1 = 1.0 + sigma**2 / (2.0 * rate)
+        theta2 = 1.0 - sigma**2 / (2.0 * rate)
+        b3 = disc * std_normal_cdf(-flip * d.d3)
+        b4 = st * math.exp(-0.25 * (d.d1**2 + d.d4**2)) / _SQRT_2PI
+        c1 = -spot * (st / 2.0) * (theta1 * b1 + theta2 * b3)
+        base = spot * sigma**2 * tau / 12.0
+        c2 = (bracket_sign * base * ((theta1 + 2.0) * b1 + (theta2 + 2.0) * b3)
+              + spot * 0.5 * b4)
+        branch = "positive"
+    return PriceExpansion(
+        c0=bs_price(market, side), c1=c1, c2_at=lambda n: c2, side=side,
+        rate_branch=branch,
+    )

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -36,17 +37,16 @@ from lookback import (
     bs_price,
     cdf_expansion,
     expansion_coeffs,
-    expansion_coeffs_at_emission,
     iter_path_counts,
     kappa_n,
     path_count,
-    path_count_enumerate,
     price_backward_induction,
     price_closed,
     price_closed_reduced,
 )
 from lookback.cli import TABLE_MARKETS, TABLE_N_VALUES, cmd_cdf_bench, cmd_table
 
+from .oracles import expansion_coeffs_at_emission, walk_level_paths
 from .quadrature import QuadratureSpec, appendix_identity_check, uspensky_cdf
 
 # Printed convergence tables: per table, the five-column rows (price,
@@ -168,7 +168,8 @@ class TestAcceptance:
         ok = True
         for j0 in J0_GRID:
             for n in range(1, 15):
-                brute = path_count_enumerate(j0, n)
+                brute = {(float(level), k): c
+                         for (level, k), c in walk_level_paths(Fraction(j0), n).items()}
                 fast = {(pc.j, pc.k): pc.count for pc in iter_path_counts(j0, n)}
                 ok = ok and fast == brute
                 for (j, k), count in brute.items():

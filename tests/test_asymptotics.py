@@ -12,13 +12,14 @@ import pytest
 from lookback import (
     MarketState,
     expansion_coeffs,
-    expansion_coeffs_at_emission,
     expansion_price,
     kappa_n,
     residual_scan,
     tree_params,
 )
 from lookback.errors import DomainError
+
+from .oracles import expansion_coeffs_at_emission
 
 T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
 T2 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.0, tau=1.27)

@@ -321,6 +321,28 @@ class TestMainErrors:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("rate", ["0", "0.05"])
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-160", "1e-150", "100", "1e5", "1e10"])
+    @pytest.mark.parametrize("method", ["bs", "expansion", "reduced", "closed", "tree"])
+    @pytest.mark.parametrize("side,extremum", [("call", "60"), ("put", "100")])
+    def test_extreme_sigma_prices_or_refuses(self, capsys, side, extremum, method,
+                                             sigma, rate):
+        """Where sigma^2 underflows or e^s overflows, a method either prints a
+        finite price within the no-arbitrage bounds or exits 2 with a
+        one-line ModelError/DomainError record, never a traceback or nan."""
+        code = main(["price", "--spot", "80", "--extremum", extremum, "--tau",
+                     "1.27", "--n", "100", "--side", side, "--method", method,
+                     "--sigma", sigma, "--rate", rate])
+        out, err = capsys.readouterr()
+        if code == 0:
+            price = float(out.splitlines()[-1].split(",")[1])
+            assert math.isfinite(price) and price >= 0.0
+            assert side == "put" or price <= 80.0
+        else:
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"] in ("ModelError", "DomainError")
+
     @pytest.mark.parametrize("args", [
         ["--n", "10,20", "--j-rule", "nan"],
         ["--n", "10,20", "--j-rule", "inf"],

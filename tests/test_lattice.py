@@ -20,7 +20,6 @@ from lookback import (
     expansion_coeffs,
     iter_path_counts,
     path_count,
-    path_count_enumerate,
     price_backward_induction,
     price_closed,
     price_closed_reduced,
@@ -252,11 +251,14 @@ class TestPathCounts:
         assert len(seen) == len(set(seen))
 
     def test_enumerate_single_step(self):
-        assert path_count_enumerate(0.0, 1) == {(1.0, 1): 1, (0.0, 0): 1}
+        assert walk_level_paths(Fraction(0), 1) == {(Fraction(1), 1): 1, (Fraction(0), 0): 1}
 
     @pytest.mark.parametrize("j0,n", [(1.6, 5), (1.0, 5), (0.0, 8), (2.3, 10)])
     def test_enumerate_matches_formula(self, j0, n):
-        enum = {(float(level), k): c for (level, k), c in path_count_enumerate(j0, n).items()}
+        enum = {
+            (float(level), k): c
+            for (level, k), c in walk_level_paths(Fraction(j0), n).items()
+        }
         from_iter = {(pc.j, pc.k): pc.count for pc in iter_path_counts(j0, n)}
         assert enum == from_iter
 
@@ -282,12 +284,6 @@ class TestPathCounts:
             path_count(-0.5, 0.0, 0, 3)
         with pytest.raises(DomainError):
             path_count(1.0, 0.0, 0, 0)
-        with pytest.raises(DomainError):
-            path_count_enumerate(1.0, 0)
-
-    def test_enumeration_budget(self):
-        with pytest.raises(BudgetError):
-            path_count_enumerate(0.3, 23)
 
 
 class TestProbabilityMass:
