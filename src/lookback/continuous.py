@@ -1,24 +1,29 @@
 """Continuous-model floating-strike lookback prices.
 
-For r > 0 the Goldman-Sosin-Gatto formulas, with theta_1 = 1 + sigma^2/2r
-and theta_2 = 1 - sigma^2/2r:
+The Goldman-Sosin-Gatto formulas, with theta_1 = 1 + sigma^2/2r and
+theta_2 = 1 - sigma^2/2r:
 
     C_BS = S - S theta_1 B_1 - M B_2 + S (1 - theta_2) B_3       (call)
     P_BS = -S + S theta_1 B_1 + M B_2 - S (1 - theta_2) B_3      (put)
-
-For r = 0 the Babbs formulas replace the divergent theta terms:
-
-    C_BS = S - S B_1 - M B_2 - S (B_3* - B_4*)
-    P_BS = -S + S B_1 + M B_2 + S (B_3* + B_4*)
 
 built on d_1 = (log(S/M) + (r + sigma^2/2) tau) / (sigma sqrt(tau)),
 d_2 = d_1 - sigma sqrt(tau), d_3 = -d_1 + (2r/sigma) sqrt(tau),
 d_4 = d_3 + sigma sqrt(tau).  The side only changes the signs of the
 normal-CDF arguments: the call uses (Phi(-d_1), Phi(d_2), Phi(d_3)) and
 the put uses (Phi(d_1), Phi(-d_2), Phi(-d_3)) -- B_1 flips one way,
-B_2 and B_3 the other.  The r = 0 branch is exact-equality dispatch (no
-epsilon blending); continuity across the seam is a tested property, not
-a runtime switch.
+B_2 and B_3 the other.
+
+The theta terms carry a 1/r pole: theta_1 B_1 + theta_2 B_3 =
+B_1 + B_3 + Delta with Delta = sigma^2/(2r) (B_1 - B_3).  With
+a = 2r/sigma^2 and G(x) = (S/M)^{-x} Phi(flip (d_1 - x sigma sqrt(tau))),
+B_1 = G(0) and B_3 = e^{-r tau} G(a), so
+
+    Delta = -mean_{[0, a]} G' + ((1 - e^{-r tau}) / a) G(a),
+
+which is finite at r = 0, where it is Babbs' B_3* +- B_4* (Babbs 2000).
+One formula therefore prices every rate r >= 0:
+
+    C_BS = S - S B_1 - M B_2 - S Delta,   P_BS = -C_BS on the put's terms.
 """
 
 from __future__ import annotations
@@ -28,9 +33,11 @@ from dataclasses import dataclass
 
 from .errors import ModelError
 from .lattice import MarketState, Side
-from .numerics import _log_std_normal_cdf, std_normal_cdf, std_normal_pdf
+from .numerics import (
+    GL_MAX_SPREAD, _log_std_normal_cdf, expm1_ratio, gl_mean, std_normal_cdf, std_normal_pdf,
+)
 
-__all__ = ["DValues", "BsTerms", "d_values", "bs_terms", "bs_price"]
+__all__ = ["DValues", "BsTerms", "d_values", "bs_terms", "bs_price", "price_from_terms"]
 
 
 @dataclass(frozen=True)
@@ -46,20 +53,13 @@ class DValues:
 
 @dataclass(frozen=True)
 class BsTerms:
-    """B-terms of the continuous formulas for one (market, side).
-
-    For rate > 0: theta1, theta2, b1, b2, b3 are set and b3_star/b4_star
-    are None.  For rate = 0: b1, b2, b3_star, b4_star are set and the
-    theta/b3 slots are None (theta_1,2 diverge as r -> 0).
-    """
+    """B-terms of the continuous formulas for one (market, side); delta
+    is sigma^2/(2r) (B_1 - B_3), continued to r = 0."""
 
     b1: float
     b2: float
-    theta1: float | None = None
-    theta2: float | None = None
-    b3: float | None = None
-    b3_star: float | None = None
-    b4_star: float | None = None
+    b3: float
+    delta: float
 
 
 def d_values(market: MarketState, side: Side) -> DValues:
@@ -76,48 +76,52 @@ def d_values(market: MarketState, side: Side) -> DValues:
     return DValues(d1=d1, d2=d2, d3=d3, d4=d4)
 
 
-def bs_terms(market: MarketState, side: Side) -> BsTerms:
+def bs_terms(market: MarketState, side: Side, d: DValues) -> BsTerms:
     """Side-dispatched B-terms shared by ``bs_price`` and the price
-    expansion coefficients."""
-    d = d_values(market, side)
+    expansion coefficients; d is ``d_values(market, side)``."""
     st = market.sigma * math.sqrt(market.tau)
     lsm = math.log(market.spot / market.extremum)
     disc = math.exp(-market.rate * market.tau)
     flip = 1.0 if side == "put" else -1.0  # put uses Phi(d1), call Phi(-d1)
     b1 = std_normal_cdf(flip * d.d1)
     b2 = disc * std_normal_cdf(-flip * d.d2)
-    if market.rate == 0.0:
-        b3_star = (lsm + 0.5 * market.sigma**2 * market.tau) * b1
-        b4_star = st * std_normal_pdf(d.d1)
-        return BsTerms(b1=b1, b2=b2, b3_star=b3_star, b4_star=b4_star)
-    if market.sigma**2 == 0.0:
-        raise ModelError(f"sigma**2 underflows to 0 in 2r/sigma^2, got sigma={market.sigma}")
-    theta1 = 1.0 + market.sigma**2 / (2.0 * market.rate)
-    theta2 = 1.0 - market.sigma**2 / (2.0 * market.rate)
-    # (S/M)^{-2r/sigma^2} Phi(-flip d3) in log space: for a small sigma or
-    # a spot far from the extremum the power overflows where Phi underflows
-    log_power = -(2.0 * market.rate / market.sigma**2) * lsm
-    if log_power == math.inf:
+    alpha = 2.0 * market.rate / market.sigma / market.sigma  # inf once sigma^2 underflows
+    # G(a) = (S/M)^{-a} Phi(-flip d3) in log space: for a small sigma or a
+    # spot far from the extremum the power overflows where Phi underflows
+    log_power = -alpha * lsm
+    if not log_power < math.inf:
         raise ModelError(f"(S/M)^(-2r/sigma^2) overflows, got sigma={market.sigma}")
-    b3 = disc * math.exp(log_power + _log_std_normal_cdf(-flip * d.d3))
-    return BsTerms(b1=b1, b2=b2, theta1=theta1, theta2=theta2, b3=b3)
+    g_a = math.exp(log_power + _log_std_normal_cdf(-flip * d.d3))
+    b3 = disc * g_a
+    # spread of G' over [0, a]: (S/M)^{-x} and Phi(y), phi(y) have log
+    # slopes |log(S/M)| and at most sigma sqrt(tau) (|y| + 1)
+    spread = alpha * (abs(lsm) + st * (max(abs(d.d1), abs(d.d3)) + 1.0))
+    if spread > GL_MAX_SPREAD:
+        delta = (b1 - b3) / alpha
+    else:
+        mid = 0.5 * alpha
+
+        def g_prime(off: float) -> float:
+            x = mid + off
+            y = d.d1 - x * st
+            return -math.exp(-x * lsm) * (lsm * std_normal_cdf(flip * y)
+                                          + flip * st * std_normal_pdf(y))
+
+        # (1 - e^{-r tau}) / a = (sigma^2 tau / 2) expm1(-r tau) / (-r tau)
+        delta = (-gl_mean(g_prime, mid)
+                 + 0.5 * market.sigma**2 * market.tau
+                 * expm1_ratio(-market.rate * market.tau) * g_a)
+    return BsTerms(b1=b1, b2=b2, b3=b3, delta=delta)
+
+
+def price_from_terms(market: MarketState, side: Side, terms: BsTerms) -> float:
+    """The continuous price on B-terms already formed for this market and
+    side.  The put is the negated call expression on the put's terms."""
+    call = (market.spot * (1.0 - terms.b1 - terms.delta)
+            - market.extremum * terms.b2)
+    return call if side == "call" else -call
 
 
 def bs_price(market: MarketState, side: Side) -> float:
-    """Continuous-model lookback price, dispatching on rate == 0.
-
-    The put is the negated call expression on the put's B-terms, except
-    that B_4* enters both sides with the same sign.
-    """
-    t = bs_terms(market, side)
-    spot, extremum = market.spot, market.extremum
-    sign = -1.0 if side == "call" else 1.0
-    if market.rate == 0.0:
-        assert t.b3_star is not None and t.b4_star is not None
-        call = (spot - spot * t.b1 - extremum * t.b2
-                - spot * (t.b3_star + sign * t.b4_star))
-    else:
-        assert t.theta1 is not None and t.theta2 is not None and t.b3 is not None
-        call = (spot - spot * t.theta1 * t.b1 - extremum * t.b2
-                + spot * (1.0 - t.theta2) * t.b3)
-    return -sign * call
+    """Continuous-model lookback price, one formula for every rate r >= 0."""
+    return price_from_terms(market, side, bs_terms(market, side, d_values(market, side)))

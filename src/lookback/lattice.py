@@ -18,9 +18,10 @@ Three prices of the same quantity are implemented:
   reflection-principle path counts, every weight read from one binomial
   pmf row and the absorbed double sum folded into prefix sums, O(n);
 * ``price_closed_reduced``: the same value rearranged into binomial
-  CDFs, one arrangement for both sides and both rate branches,
-  O(sqrt(n)) time per CDF.  Against ``price_closed`` on the four table
-  markets it stays within 2.5e-13 relative at n = 1e4, 1e5 and 1e6;
+  CDFs, one arrangement for both sides and every rate r >= 0 (its 1/r
+  poles are written as divided differences), O(sqrt(n)) time per CDF.
+  Against ``price_closed`` on the four table markets it stays within
+  2.5e-13 relative at n = 1e4, 1e5 and 1e6;
 * ``price_backward_induction``: risk-neutral dynamic programming on the
   level lattice, an independent O(n^2) oracle.
 
@@ -43,7 +44,10 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .errors import BudgetError, DomainError, ModelError
-from .numerics import _binom_pmf_log_vec, _pmf_consts, binom_cdfs, binom_pmf
+from .numerics import (
+    GL_MAX_SPREAD, _binom_pmf_log_vec, _pmf_consts, binom_cdfs, binom_pmf,
+    expm1_ratio, gl_mean, log1p_ratio,
+)
 
 # Unused here; perfbench/spans.py wraps these names on this module.
 from .numerics import binom_cdf_complement, binom_cdf_exact  # noqa: F401
@@ -247,6 +251,15 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     one_m_q = (em - dm1) / ud
     two_q_m1 = (a - 2.0 * em) / ud
     two_p_m1 = (2.0 * ep - a) / ud
+    # the pricers weight by w and 1.0 - w: a weight that rounds to 0 or 1
+    # (from about s = 37) would price on a wrong weight or fail in log1p
+    for name, weight in (("p_up", p), ("q_adj", q)):
+        if not (0.0 < weight < 1.0 and 0.0 < 1.0 - weight < 1.0):
+            raise ModelError(
+                f"n too small for given sigma, tau: {name} = {weight!r} or "
+                f"1 - {name} rounds to 0 or 1, got n={n}, sigma={market.sigma}, "
+                f"tau={market.tau}"
+            )
     raw_j0 = _initial_level(market, side) / s
     if not math.isfinite(raw_j0):
         raise ModelError(f"start level log(S/M)/s overflows, got s = {s}")
@@ -356,68 +369,86 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
 def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     """Same value as ``price_closed`` via binomial CDFs.
 
-    One arrangement serves both sides.  With up weight w (q_adj for
-    calls, 1 - q_adj for puts), w' the matching p_up or 1 - p_up,
-    rho = w/(1-w), rho' = w'/(1-w'), c = u^sign and payoff
+    One arrangement serves both sides and every rate r >= 0.  With up
+    weight w (q_adj for calls, 1 - q_adj for puts), w' the matching p_up
+    or 1 - p_up, rho = w/(1-w), rho' = w'/(1-w'), c = u^sign and payoff
     sign (c^level - 1) (sign = -1 for calls, +1 for puts), V1 and V2 are
     upper-CDF differences in w and w' at the split indices
-    j1 = n - floor((n + j0_floor)/2) and j2 = j1 + j0_floor + 1.  The V3
-    double sum telescopes into coef Bin_{1-w'}(j3) + extra
-    - rho^{-(j0_floor+1)} Bin_{1-w}(j3) at j3 = j1 - 1, plus a parity-edge
-    pmf term when n - j0_floor - 1 is even.  For r > 0 the geometric
-    ratios rho and rho c give coef, and extra is a multiple of Bin_w(j3).
-    At r = 0, where rho c = 1, k C(n,k) = n C(n-1,k-1) and, with
-    p = 1 - w', Bin_{n-1,p}(j3-1) = Bin_{n,p}(j3) - ((n-j3)/n) pmf_{n,p}(j3)
-    turn n_inner Bin_{n,p}(j3) - 2np Bin_{n-1,p}(j3-1) into
-    (n_inner - 2np) Bin_{n,p}(j3) + 2p(n - j3) pmf_{n,p}(j3).  ``side``
-    picks only the scalars and the rate only coef and extra; each scalar
-    keeps the form that is exact for its side (for a put, rho - 1 =
-    -Qm1/Q and rho c - 1 = uWm1; for a call, Qm1 and Qdm1).
+    j1 = n - floor((n + f)/2) and j2 = j1 + f + 1, f = j0_floor.  The V3
+    double sum telescopes, at j3 = j1 - 1, into
 
-    Seven CDFs (six at r = 0) of O(sqrt(n)) time each (see
-    ``binom_cdf_exact``) go to one ``binom_cdfs`` call, which evaluates
-    their first chunks in shared pmf kernel calls of at most 4,096
-    entries: on the table markets one call up to n = 5000, where every
-    sum ends in its first chunk, and a call per CDF from n = 1.2e5 on.
-    The pmf terms are scalar ``binom_pmf`` calls.  Against
+        rho K Bin_{1-w'}(j3) + rho (c-1) (Bin_{1-w'}(j3) - Bin_w(j3)) / (rho c - 1)
+            - rho^{-(f+1)} Bin_{1-w}(j3)
+
+    plus a parity-edge pmf term when n - f - 1 is even, where
+    K = e^E c + (c - 1) expm1(E) / (rho c - 1) and
+    E = -r tau - (f + 2) log(rho c).  At r = 0, 1 - w' = w and rho c = 1,
+    so both quotients are 0/0; each is written to stay finite there.
+    With x = r tau/n, rho c - 1 and 1 - w' - w are x times expm1 ratios
+    that tend to nonzero limits, which gives E / (rho c - 1), and since
+    d/dt Bin_{n,t}(j) = -n pmf_{n-1,t}(j) the CDF difference is
+
+        Bin_{1-w'}(j3) - Bin_w(j3) = -n (1 - w' - w) mean_{t in [w, 1-w']} pmf_{n-1,t}(j3).
+
+    The mean is ``gl_mean`` over one scalar ``binom_pmf`` at the midpoint
+    times the exact ratios pmf_{n-1,t} / pmf_{n-1,mid} in plain floats.
+    Where the interval is wide against the pmf's scale in t (spread above
+    ``GL_MAX_SPREAD``) the two CDFs are taken and differenced directly,
+    as they do not cancel there.  ``side`` picks only the scalars; each
+    keeps the form that is exact for its side (for a put, rho c - 1 =
+    uWm1; for a call, Qdm1).
+
+    Six CDFs (seven where the difference is direct) of O(sqrt(n)) time
+    each (see ``binom_cdf_exact``) go to one ``binom_cdfs`` call, which
+    evaluates their first chunks in shared pmf kernel calls of at most
+    4,096 entries: on the table markets one call up to n = 5000, where
+    every sum ends in its first chunk, and a call per CDF from n = 1.2e5
+    on.  The pmf terms are scalar ``binom_pmf`` calls.  Against
     ``price_closed`` on the table markets at n = 1e4, 1e5 and 1e6 the
-    result stays within 3.1e-14 relative on T1, 2.5e-13 on T3, 3.9e-14
-    on T2 and 1.2e-13 on T4.
-
-    Branch dispatch is on rate == 0.0 exactly, never an epsilon: the two
-    cases are distinct exact formulas and their r -> 0 continuity is a
-    tested property.  The r > 0 rearrangement is consequently
-    ill-conditioned for small rates (absolute error ~ eps sigma^2 spot /
-    (2 r)): against backward induction at n = 500 the relative error of
-    the T1 call is 6.2e-14 at r = 1e-4, 4.2e-12 at 1e-5, 3.9e-11 at 1e-6
-    and 1.1e-8 at 1e-8, and of the T3 put 1.4e-13, 4.4e-12, 6.1e-11 and
-    1.6e-8.
+    result stays within 3.1e-14 relative on T1, 2.5e-13 on T3, 5.8e-14
+    on T2 and 1.4e-13 on T4, and on the T1 and T3 markets at r = 1e-8 and
+    1e-11 within 2.4e-13.  Against backward induction at n = 500 both
+    stay within 1.1e-14 for every r from 0 through 1e-14, 1e-13, ...,
+    1e-1 to 0.3.
     """
     par = tree_params(market, n, side)
     spot = market.spot
     floor = par.j0_floor
     q, p = par.q_adj, par.p_up
+    x = market.rate * (market.tau / n)
     disc = math.exp(-market.rate * market.tau)
-    # w_c = 1 - w, wp_c = 1 - w', rho_m1 = rho - 1, rc_m1 = rho c - 1
+    ud = 2.0 * math.sinh(par.s)
+    # 1 - w' - w = x width_x and rho c - 1 = x rc_x, both ratios finite
+    # and nonzero at x = 0: 2 sinh(x) / x = expm1(x)/x + expm1(-x)/-x
+    width_x = (expm1_ratio(x) + expm1_ratio(-x)) / ud
+    # w_c = 1 - w, wp_c = 1 - w', rc_m1 = rho c - 1
     if side == "call":
         sign, w, w_c, wp, wp_c = -1.0, q, 1.0 - q, p, 1.0 - p
         log_rho, log_rho_p = math.log1p(par.Qm1), math.log1p(par.Pm1)
-        rho, rho_m1, rc_m1 = par.Q, par.Qm1, par.Qdm1
-        c, c_inv, cm1, one_m_cinv = par.d, par.u, math.expm1(-par.s), -par.um1
+        rho, rc_m1 = par.Q, par.Qdm1
+        c, cm1, one_m_cinv = par.d, math.expm1(-par.s), -par.um1
+        width_x = -width_x
+        rc_x = (1.0 + par.d) * expm1_ratio(-x) / (math.expm1(-x) - cm1)
     else:
         sign, w, w_c, wp, wp_c = 1.0, 1.0 - q, q, 1.0 - p, p
         log_rho, log_rho_p = -math.log1p(par.Qm1), -math.log1p(par.Pm1)
-        rho, rho_m1, rc_m1 = 1.0 / par.Q, -(par.Qm1 / par.Q), par.uWm1
-        c, c_inv, cm1, one_m_cinv = par.u, par.d, par.um1, 1.0 - par.d
+        rho, rc_m1 = 1.0 / par.Q, par.uWm1
+        c, cm1, one_m_cinv = par.u, par.um1, 1.0 - par.d
+        rc_x = -(1.0 + par.u) * expm1_ratio(-x) / (ud * q)
     j1 = n - (n + floor) // 2
     j2 = j1 + floor + 1
     j3 = j1 - 1
     n_inner = n - floor - 1
+    # the interval [w, 1 - w'] against the slope j/t - (n-1-j)/(1-t) of
+    # log pmf_{n-1,t}(j3), which is monotone in t: largest at an end
+    half = 0.5 * x * width_x
+    spread = 2.0 * abs(half) * max(abs(j3 / t - (n - 1 - j3) / (1.0 - t)) for t in (w, wp_c))
+    direct = spread > GL_MAX_SPREAD
     specs = [(n, wp, j1 - 1, True), (n, w, j1 - 1, True)]
     if n_inner >= 0:
         specs += [(n, wp, j2 - 1, True), (n, w, j2 - 1, True),
                   (n, wp_c, j3, False), (n, w_c, j3, False)]
-        if market.rate != 0.0:
+        if direct:
             specs.append((n, w, j3, False))
     cdf = binom_cdfs(specs)
     # extremum/spot as c^{j0}: consistent with the snapped level
@@ -430,15 +461,22 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     # parity edge term: the top absorbed level is reached only when
     # n - floor - 1 and the step count share parity
     edge = one_m_cinv * binom_pmf(n, w, j3) if n_inner % 2 == 0 else 0.0
-    if market.rate == 0.0:
-        # k C(n,k) = n C(n-1,k-1) and Bin_{n-1}(j3-1) = Bin_n(j3) - (n-j3)/n pmf_n(j3)
-        coef = one_m_cinv * (n_inner - 2.0 * n * wp_c) + c_inv
-        extra = one_m_cinv * 2.0 * wp_c * (n - j3) * binom_pmf(n, wp_c, j3)
+    # K = e^E c + (c - 1) expm1(E)/(rho c - 1), with r tau/(rho c - 1) = n/rc_x
+    big_e = -market.rate * market.tau - (floor + 2) * math.log1p(rc_m1)
+    e_over_rc = -n / rc_x - (floor + 2) * log1p_ratio(rc_m1)
+    k = math.exp(big_e) * c + cm1 * expm1_ratio(big_e) * e_over_rc
+    if direct:
+        div = rho * cm1 / rc_m1 * (cdf[4] - cdf[6])
     else:
-        c_a = rho * (c * rc_m1 + cm1) / rc_m1  # rho (rho c^2 - 1) / (rho c - 1)
-        coef = disc * c_a * math.exp(-(floor + 2) * math.log1p(rc_m1))
-        extra = (rho_m1 / rc_m1 - 1.0) * cdf[6]
-    v3 = coef * cdf[4] + extra - math.exp(-(floor + 1) * log_rho) * cdf[5] + edge
+        mid = wp_c - half
+        pmf_mid = binom_pmf(n - 1, mid, j3)
+
+        def ratio(off: float) -> float:
+            return math.exp(j3 * math.log1p(off / mid)
+                            + (n - 1 - j3) * math.log1p(-off / (1.0 - mid)))
+
+        div = -rho * cm1 * (width_x / rc_x) * n * pmf_mid * gl_mean(ratio, half)
+    v3 = rho * k * cdf[4] + div - math.exp(-(floor + 1) * log_rho) * cdf[5] + edge
     return spot * (v1 - v2 + sign * v3)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Literal
 
 import mpmath as mp
 
@@ -95,31 +94,97 @@ def lattice_ratios_mp(sigma: float, rate: float, tau: float, n: int) -> dict[str
                 "Qdm1": big_q * d - 1, "uWm1": u / big_q - 1}
 
 
+def _bs_terms_mp(s, m, sig, r, t, side):
+    """d_1..d_4 and B_1..B_3 in the working precision, flip = 1 for puts."""
+    st = sig * mp.sqrt(t)
+    d1 = (mp.log(s / m) + (r + sig**2 / 2) * t) / st
+    d3 = -d1 + (2 * r / sig) * mp.sqrt(t)
+    disc = mp.exp(-r * t)
+    flip = 1 if side == "put" else -1
+    b1 = mp.ncdf(flip * d1)
+    b2 = disc * mp.ncdf(-flip * (d1 - st))
+    b3 = disc * (s / m) ** (-2 * r / sig**2) * mp.ncdf(-flip * d3)
+    return st, d1, d3 + st, b1, b2, b3
+
+
 def bs_price_mp(
     spot: float, extremum: float, sigma: float, rate: float, tau: float, side: str,
 ) -> mp.mpf:
-    """The Goldman-Sosin-Gatto price of ``continuous.bs_price`` (r > 0) in
-    50 digits, every term formed as written, with theta_1 = 1 + sigma^2/2r,
-    theta_2 = 1 - sigma^2/2r and flip = 1 for puts, -1 for calls:
+    """The continuous price of ``continuous.bs_price`` in 50 digits, every
+    term formed as written, with flip = 1 for puts, -1 for calls:
 
         B1 = Phi(flip d1),  B2 = e^{-r tau} Phi(-flip d2),
-        B3 = e^{-r tau} (S/M)^{-2r/sigma^2} Phi(-flip d3),
-        call = S - S theta_1 B1 - M B2 + S (1 - theta_2) B3,  put = -call.
+        B3 = e^{-r tau} (S/M)^{-2r/sigma^2} Phi(-flip d3).
+
+    For r > 0 the Goldman-Sosin-Gatto form, theta_1 = 1 + sigma^2/2r,
+    theta_2 = 1 - sigma^2/2r:
+
+        call = S - S theta_1 B1 - M B2 + S (1 - theta_2) B3,  put = -call;
+
+    at r = 0 the Babbs (2000) form, B3* = (log(S/M) + sigma^2 tau/2) B1,
+    B4* = sigma sqrt(tau) phi(d1):
+
+        call = S - S B1 - M B2 - S (B3* - B4*),
+        put = -S + S B1 + M B2 + S (B3* + B4*).
     """
     with mp.workdps(50):
         s, m, sig, r, t = (mp.mpf(x) for x in (spot, extremum, sigma, rate, tau))
-        st = sig * mp.sqrt(t)
-        d1 = (mp.log(s / m) + (r + sig**2 / 2) * t) / st
-        d2 = d1 - st
-        d3 = -d1 + (2 * r / sig) * mp.sqrt(t)
-        disc = mp.exp(-r * t)
+        st, d1, _, b1, b2, b3 = _bs_terms_mp(s, m, sig, r, t, side)
         flip = 1 if side == "put" else -1
-        b1 = mp.ncdf(flip * d1)
-        b2 = disc * mp.ncdf(-flip * d2)
-        b3 = disc * (s / m) ** (-2 * r / sig**2) * mp.ncdf(-flip * d3)
-        theta1, theta2 = 1 + sig**2 / (2 * r), 1 - sig**2 / (2 * r)
-        call = s - s * theta1 * b1 - m * b2 + s * (1 - theta2) * b3
+        if r == 0:
+            b3_star = (mp.log(s / m) + sig**2 * t / 2) * b1
+            b4_star = st * mp.npdf(d1)
+            call = s - s * b1 - m * b2 - s * (b3_star + flip * b4_star)
+        else:
+            theta1, theta2 = 1 + sig**2 / (2 * r), 1 - sig**2 / (2 * r)
+            call = s - s * theta1 * b1 - m * b2 + s * (1 - theta2) * b3
         return call if side == "call" else -call
+
+
+def expansion_coeffs_mp(
+    spot: float, extremum: float, sigma: float, rate: float, tau: float, side: str,
+) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
+    """(c1, a, b) of ``asymptotics.expansion_coeffs`` in 50 digits, with
+    c2(kappa) = a + b kappa, every term formed as the module docstring
+    writes it before the pole is removed.  For r > 0:
+
+        c1 = -S (sigma sqrt(tau)/2) (theta_1 B1 + theta_2 B3),
+        bracket = S (sigma^2 tau/12) ((theta_1+2) B1 + (theta_2+2-T_1) B3)
+                  -+ M T_2 B4,
+
+    T_1, T_2 and B4 as there.  At r = 0 the Babbs (2000) form:
+
+        c1 = -S (sigma sqrt(tau)/2) (2 B1 + B3* -+ B4*),
+        bracket = S (sigma^2 tau/6) ((3 + 3 kappa - sigma^2 tau/4) B1 + B3*)
+                  -+ S T_2* B4*,
+        T_2* = 1/2 + kappa + sigma^2 tau/12 - (d2 / (6 sigma sqrt(tau))) log(S/M).
+
+    The bracket enters c2 with sign -1 for calls and +1 for puts.
+    """
+    with mp.workdps(50):
+        s, m, sig, r, t = (mp.mpf(x) for x in (spot, extremum, sigma, rate, tau))
+        st, d1, d4, b1, _, b3 = _bs_terms_mp(s, m, sig, r, t, side)
+        lsm = mp.log(s / m)
+        sgn = -1 if side == "call" else 1
+        if r == 0:
+            b3_star = (lsm + sig**2 * t / 2) * b1
+            b4_star = st * mp.npdf(d1)
+            c1 = -s * (st / 2) * (2 * b1 + b3_star + sgn * b4_star)
+            base = s * sig**2 * t / 6
+            t2_const = mp.mpf(1) / 2 + sig**2 * t / 12 - (d1 - st) * lsm / (6 * st)
+            a = sgn * base * ((3 - sig**2 * t / 4) * b1 + b3_star) + s * t2_const * b4_star
+            b = sgn * base * 3 * b1 + s * b4_star
+            return c1, a, b
+        theta1, theta2 = 1 + sig**2 / (2 * r), 1 - sig**2 / (2 * r)
+        c1 = -s * (st / 2) * (theta1 * b1 + theta2 * b3)
+        b4 = st * (s / m) ** ((1 - 2 * r / sig**2) / 2) * mp.exp(-(d1**2 + d4**2) / 4) / mp.sqrt(2 * mp.pi)
+        base = s * sig**2 * t / 12
+        t1_const = -(1 + 4 * r**2 / sig**4) * lsm
+        t1_kappa = 12 * r / sig**2 * theta2
+        t2_const = mp.mpf(1) / 2 + d4 * lsm / (6 * st)
+        a = sgn * base * ((theta1 + 2) * b1 + (theta2 + 2 - t1_const) * b3) + m * t2_const * b4
+        b = -sgn * base * t1_kappa * b3 + m * b4
+        return c1, a, b
 
 
 def closed_sum_mp(
@@ -255,7 +320,6 @@ def expansion_coeffs_at_emission(
         t2_star = 0.5 + sigma**2 * tau / 12.0
         c2 = (bracket_sign * base * ((3.0 - sigma**2 * tau / 4.0) * b1 + b3_star)
               + spot * t2_star * b4_star)
-        branch: Literal["positive", "zero"] = "zero"
     else:
         theta1 = 1.0 + sigma**2 / (2.0 * rate)
         theta2 = 1.0 - sigma**2 / (2.0 * rate)
@@ -265,8 +329,4 @@ def expansion_coeffs_at_emission(
         base = spot * sigma**2 * tau / 12.0
         c2 = (bracket_sign * base * ((theta1 + 2.0) * b1 + (theta2 + 2.0) * b3)
               + spot * 0.5 * b4)
-        branch = "positive"
-    return PriceExpansion(
-        c0=bs_price(market, side), c1=c1, c2_at=lambda n: c2, side=side,
-        rate_branch=branch,
-    )
+    return PriceExpansion(c0=bs_price(market, side), c1=c1, c2_at=lambda n: c2, side=side)

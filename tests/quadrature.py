@@ -5,8 +5,9 @@ CDF is an independent oracle for both expansions of
 ``lookback.binom_expansion``, and the Fourier-transform identities of
 the probabilists' Hermite polynomials are what the expansion is built
 from.  Both are evaluated here by adaptive Gauss-Kronrod quadrature
-(scipy).  The package itself never integrates numerically, so these
-live with the tests and scipy is a test dependency only.
+(scipy).  The package's only quadrature is a fixed 8-point
+Gauss-Legendre rule for its divided differences (``numerics.gl_mean``),
+so these live with the tests and scipy is a test dependency only.
 
 Exact representation:
 

@@ -322,12 +322,14 @@ class TestMainErrors:
         assert json.loads(err)["error"] == "DomainError"
 
     @pytest.mark.parametrize("rate", ["0", "0.05"])
-    @pytest.mark.parametrize("sigma", ["1e-300", "1e-160", "1e-150", "100", "1e5", "1e10"])
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-160", "1e-150", "100", "400", "1000", "1e5",
+                                       "1e10"])
     @pytest.mark.parametrize("method", ["bs", "expansion", "reduced", "closed", "tree"])
     @pytest.mark.parametrize("side,extremum", [("call", "60"), ("put", "100")])
     def test_extreme_sigma_prices_or_refuses(self, capsys, side, extremum, method,
                                              sigma, rate):
-        """Where sigma^2 underflows or e^s overflows, a method either prints a
+        """Where sigma^2 underflows, e^s overflows or a lattice weight rounds
+        to 0 or 1, a method either prints a
         finite price within the no-arbitrage bounds or exits 2 with a
         one-line ModelError/DomainError record, never a traceback or nan."""
         code = main(["price", "--spot", "80", "--extremum", extremum, "--tau",

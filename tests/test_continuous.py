@@ -1,14 +1,15 @@
 """Tests for the continuous-model lookback prices: d-value identities,
-B-term structure, price anchors, the rate-zero branch, and limits."""
+B-term structure, price anchors, the rate grid down to r = 0, and limits."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 
-from lookback import MarketState, bs_price, bs_terms, d_values
+from lookback import MarketState, bs_price, bs_terms, continuous, d_values
 from lookback.errors import DomainError
 
 from .oracles import bs_price_mp
@@ -17,6 +18,10 @@ T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
 T2 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.0, tau=1.27)
 T3 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.08, tau=1.27)
 T4 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.0, tau=1.27)
+
+# r = 0, every power of ten from 1e-14 to 1e-1, and 0.3
+SMALL_RATES = [0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-09, 1e-08, 1e-07, 1e-06,
+               1e-05, 0.0001, 0.001, 0.01, 0.1, 0.3]
 
 
 def _random_markets(count: int, seed: int, with_zero_rate: bool = True):
@@ -88,27 +93,28 @@ class TestDValues:
 
 class TestBsTerms:
     def test_theta_sum_is_two(self):
+        """theta_1 + theta_2 = 2 splits theta_1 B_1 + theta_2 B_3 into
+        B_1 + B_3 + delta, delta = sigma^2/(2r) (B_1 - B_3)."""
         for market in (T1, T3):
             side = "call" if market.extremum <= market.spot else "put"
-            terms = bs_terms(market, side)
-            assert math.isclose(terms.theta1 + terms.theta2, 2.0, rel_tol=1e-12)
+            terms = bs_terms(market, side, d_values(market, side))
+            theta1 = 1.0 + market.sigma**2 / (2.0 * market.rate)
+            theta2 = 1.0 - market.sigma**2 / (2.0 * market.rate)
+            assert math.isclose(theta1 + theta2, 2.0, rel_tol=1e-12)
+            assert math.isclose(theta1 * terms.b1 + theta2 * terms.b3,
+                                terms.b1 + terms.b3 + terms.delta, rel_tol=1e-12)
 
     def test_terms_nonnegative(self):
         for market, side in _random_markets(60, seed=12):
-            terms = bs_terms(market, side)
-            assert terms.b1 >= 0.0 and terms.b2 >= 0.0
-            if market.rate > 0.0:
-                assert terms.b3 >= 0.0
+            terms = bs_terms(market, side, d_values(market, side))
+            assert terms.b1 >= 0.0 and terms.b2 >= 0.0 and terms.b3 >= 0.0
 
-    def test_rate_zero_uses_starred_terms(self):
-        terms = bs_terms(T2, "call")
-        assert terms.theta1 is None and terms.b3 is None
-        assert terms.b3_star is not None and terms.b4_star is not None
-
-    def test_rate_positive_uses_theta_terms(self):
-        terms = bs_terms(T1, "call")
-        assert terms.b3 is not None
-        assert terms.b3_star is None and terms.b4_star is None
+    def test_every_field_is_a_float_at_every_rate(self):
+        """No slot is left empty at r = 0: one set of terms serves every rate."""
+        for market in (T1, T2):
+            terms = bs_terms(market, "call", d_values(market, "call"))
+            for field in dataclasses.fields(terms):
+                assert isinstance(getattr(terms, field.name), float), field.name
 
 
 class TestBsPrice:
@@ -136,17 +142,23 @@ class TestBsPrice:
     @pytest.mark.parametrize(
         "market,side", [(T2, "call"), (T4, "put")]
     )
-    def test_rate_zero_branch_is_continuous(self, market, side):
-        """The Babbs value is the r -> 0 limit of the theta formulas:
-        r = 1e-7 lands within 1e-4."""
-        nearby = MarketState(
-            spot=market.spot,
-            extremum=market.extremum,
-            sigma=market.sigma,
-            rate=1e-7,
-            tau=market.tau,
-        )
-        assert abs(bs_price(nearby, side) - bs_price(market, side)) <= 1e-4
+    def test_rate_zero_branch_is_continuous(self, market, side, monkeypatch):
+        """From r = 0 (the Babbs form in the oracle) up to r = 0.3 the one
+        formula stays within 1e-13 relative of a 50-digit evaluation (worst
+        seen 1.1e-15).  Delta is a Gauss-Legendre mean up to r = 0.01 and a
+        direct difference at 0.3, so the grid runs both paths."""
+        means = []
+        gl_mean = continuous.gl_mean
+        monkeypatch.setattr(continuous, "gl_mean", lambda *args: means.append(1) or gl_mean(*args))
+        for rate in SMALL_RATES:
+            means.clear()
+            nearby = dataclasses.replace(market, rate=rate)
+            ref = bs_price_mp(nearby.spot, nearby.extremum, nearby.sigma, rate,
+                              nearby.tau, side)
+            got = bs_price(nearby, side)
+            assert abs(got - ref) <= 1e-13 * abs(ref), f"r={rate}: {float((got - ref) / ref):.2e}"
+            if rate <= 0.01 or rate == 0.3:
+                assert bool(means) == (rate <= 0.01), f"r={rate}"
 
     def test_dominates_intrinsic(self):
         """C_BS >= S - M >= 0: the call payoff S_T - m_T is at least

@@ -25,7 +25,7 @@ from lookback import (
     price_closed_reduced,
     tree_params,
 )
-from lookback import numerics
+from lookback import lattice, numerics
 from lookback.cli import TABLE_N_VALUES
 from lookback.errors import BudgetError, DomainError, ModelError
 
@@ -38,14 +38,15 @@ T4 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.0, tau=1.27)
 
 TABLE_SIDES = [(T1, "call"), (T2, "call"), (T3, "put"), (T4, "put")]
 
+# r = 0, every power of ten from 1e-14 to 1e-1, and 0.3
+SMALL_RATES = [0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-09, 1e-08, 1e-07, 1e-06,
+               1e-05, 0.0001, 0.001, 0.01, 0.1, 0.3]
+
 J0_GRID = (0.0, 0.3, 1.0, 1.6, 2.0, 3.7)
 
-# Rates are either exactly zero (its own formula branch) or at least
-# 1e-6: branch dispatch is by design exact equality, and the reduced
-# rate-positive rearrangement is documented as ill-conditioned for
-# economically meaningless rates below ~1e-9.
+# Exactly zero, or anywhere down to 1e-14: one formula serves every rate.
 rate_strategy = st.one_of(
-    st.just(0.0), st.floats(min_value=1e-6, max_value=0.15)
+    st.just(0.0), st.floats(min_value=1e-14, max_value=0.15)
 )
 
 market_strategy = st.builds(
@@ -195,10 +196,20 @@ class TestTreeParams:
         assert par.j0_frac == pytest.approx(1e-6, rel=1e-3)
 
     def test_rate_dominating_volatility_rejected(self):
-        """p would leave (0, 1) when r dt >= sigma sqrt(dt)."""
-        market = MarketState(spot=80.0, extremum=60.0, sigma=0.01, rate=5.0, tau=1.0)
-        with pytest.raises(ModelError):
-            tree_params(market, 1, "call")
+        """p would leave (0, 1) when r dt >= sigma sqrt(dt), and p or 1 - p
+        rounds to 0 or 1 from about s = sigma sqrt(dt) = 37, where
+        price_closed and price_closed_reduced would fail in log1p."""
+        cases = [
+            (MarketState(spot=80.0, extremum=60.0, sigma=0.01, rate=5.0, tau=1.0), 1, "call"),
+            (MarketState(spot=0.0635, extremum=0.0031, sigma=2173.0, rate=0.0345,
+                         tau=0.0766), 100, "call"),
+            (MarketState(spot=90.43, extremum=4710.5, sigma=125.5, rate=0.0004,
+                         tau=5.125), 10, "put"),
+        ]
+        for market, n, side in cases:
+            for pricer in (tree_params, price_closed, price_closed_reduced):
+                with pytest.raises(ModelError):
+                    pricer(market, n, side)
 
     def test_n_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -401,8 +412,8 @@ class TestClosedSum:
     @pytest.mark.parametrize("market,side", [(T2, "call"), (T4, "put")])
     @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
     def test_zero_rate_reduced_does_not_drift(self, market, side, n):
-        """The zero-rate V3 sums no CDF of length n - 1 (worst seen
-        1.2e-13, T4 at n = 1e6)."""
+        """At r = 0 V3's CDF difference is n pmf_{n-1}(j3), so no two
+        O(n) terms cancel (worst seen 1.4e-13, T4 at n = 1e6)."""
         a = price_closed(market, n, side)
         b = price_closed_reduced(market, n, side)
         assert abs(a - b) <= 3e-13 * abs(a), f"n={n}: {(b - a) / a:.2e}"
@@ -443,14 +454,27 @@ class TestReducedBothSides:
         assert err <= 1e-11, f"{side}, r = {rate}, n = {n}: {err:.2e}"
 
     @pytest.mark.parametrize("market,side", [(T1, "call"), (T3, "put")])
-    @pytest.mark.parametrize("rate", [1e-4, 1e-5, 1e-6])
-    def test_small_rate_against_tree(self, market, side, rate):
-        """The r > 0 arrangement has a 1/r pole; at n = 500 both sides
-        stay within 1e-10 down to r = 1e-6 (worst seen 6.1e-11, T3)."""
+    @pytest.mark.parametrize("rate", SMALL_RATES)
+    def test_small_rate_against_tree(self, market, side, rate, monkeypatch):
+        """One formula for every rate: no 1/r pole, both sides within 1e-12
+        of backward induction from r = 0 up (worst seen 2.2e-13, T3 at
+        r = 0.3 and n = 3, where r tau/n is 2% below the log step).  V3's
+        CDF difference is a Gauss-Legendre mean up to r = 0.01 and a direct
+        difference at 0.3, so the grid runs both paths."""
+        means = []
+        gl_mean = lattice.gl_mean
+        monkeypatch.setattr(lattice, "gl_mean", lambda *args: means.append(1) or gl_mean(*args))
         market = dataclasses.replace(market, rate=rate)
-        a = price_closed_reduced(market, 500, side)
-        b = price_backward_induction(market, 500, side)
-        assert abs(a - b) <= 1e-10 * abs(b), f"{(a - b) / b:.2e}"
+        for n in (1, 2, 3, 50, 499, 500):
+            if rate * (market.tau / n) >= market.sigma * math.sqrt(market.tau / n):
+                with pytest.raises(ModelError):
+                    price_closed_reduced(market, n, side)
+                continue
+            a = price_closed_reduced(market, n, side)
+            b = price_backward_induction(market, n, side)
+            assert abs(a - b) <= 1e-12 * abs(b), f"n={n}: {(a - b) / b:.2e}"
+        if rate <= 0.01 or rate == 0.3:
+            assert bool(means) == (rate <= 0.01)
 
 
 class TestReducedPackedPass:
