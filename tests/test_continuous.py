@@ -109,12 +109,29 @@ class TestBsTerms:
             terms = bs_terms(market, side, d_values(market, side))
             assert terms.b1 >= 0.0 and terms.b2 >= 0.0 and terms.b3 >= 0.0
 
-    def test_every_field_is_a_float_at_every_rate(self):
-        """No slot is left empty at r = 0: one set of terms serves every rate."""
-        for market in (T1, T2):
-            terms = bs_terms(market, "call", d_values(market, "call"))
+    def test_rate_zero_uses_starred_terms(self):
+        """At r = 0 every slot is a float and delta is Babbs' B_3* -+ B_4*
+        (minus for the call, plus for the put)."""
+        for market, side, sign in ((T2, "call", -1.0), (T4, "put", 1.0)):
+            d = d_values(market, side)
+            terms = bs_terms(market, side, d)
             for field in dataclasses.fields(terms):
                 assert isinstance(getattr(terms, field.name), float), field.name
+            st = market.sigma * math.sqrt(market.tau)
+            lsm = math.log(market.spot / market.extremum)
+            b3_star = (lsm + 0.5 * market.sigma**2 * market.tau) * terms.b1
+            b4_star = st * math.exp(-0.5 * d.d1**2) / math.sqrt(2.0 * math.pi)
+            assert math.isclose(terms.delta, b3_star + sign * b4_star, rel_tol=1e-12)
+
+    def test_rate_positive_uses_theta_terms(self):
+        """At r > 0 every slot is a float and delta is the theta terms'
+        sigma^2/(2r) (B_1 - B_3)."""
+        for market, side in ((T1, "call"), (T3, "put")):
+            terms = bs_terms(market, side, d_values(market, side))
+            for field in dataclasses.fields(terms):
+                assert isinstance(getattr(terms, field.name), float), field.name
+            theta_delta = market.sigma**2 / (2.0 * market.rate) * (terms.b1 - terms.b3)
+            assert math.isclose(terms.delta, theta_delta, rel_tol=1e-12)
 
 
 class TestBsPrice:
