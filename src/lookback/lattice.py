@@ -37,6 +37,7 @@ C(n,k-j) - C(n,k-j-1) for absorbed paths ending on integer levels.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Literal
@@ -220,8 +221,14 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     u = e^{sigma sqrt(tau/n)}, d = 1/u.  p and q are assembled from
     expm1/sinh differences so that e.g. 2q - 1 = O(sqrt(tau/n)) keeps
     full relative precision at n = 1e5 (u + d - 2 computed directly
-    would lose nine digits).
+    would lose nine digits).  The three pricers call this first, so it
+    is where n is refused with DomainError unless ``operator.index``
+    takes it (numpy integers pass; 5.0, "7" and None do not) and n >= 1.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     market.require_side(side)
@@ -480,66 +487,70 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     return spot * (v1 - v2 + sign * v3)
 
 
-def _interior_step(
-    col: np.ndarray, out: np.ndarray, w_up: float, w_dn: float, scratch: np.ndarray
-) -> None:
-    """out[1:-1] = w_up col[2:] + w_dn col[:-2], with no temporary."""
-    np.multiply(col[2:], w_up, out=out[1:-1])
-    np.multiply(col[:-2], w_dn, out=scratch)
-    out[1:-1] += scratch
-
-
 def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     """Risk-neutral backward induction on the level lattice.
 
-    Two value columns evolve together: F over fractional levels
-    {j0_frac + g} and G over integer levels {g}, both for g in the band
-    [max(0, floor - n), floor + n]: only levels within n steps of the
-    start floor + j0_frac can reach it, so the band holds at most
-    2n + 1 cells whatever the level.  A cell at either edge of the band
-    is left stale, and a stale value travels one cell per step, so it
-    never reaches the start within n steps.  When the band reaches
-    level 0, a down move from the lowest fractional level lands on
-    integer 0, coupling F to G, and integer levels reflect at 0.  Up
-    weight is q_adj for calls and 1 - q_adj for puts.  No
-    per-step discounting: the adjusted weights already price relative to
-    the spot numeraire (q_adj + (1 - q_adj) = 1 absorbs e^{-r tau/n}),
-    so the price is simply spot times the start-level expectation.
+    One float64 column holds the values, f = j0_floor.  A fractional
+    start that paths can be absorbed from (f < n) holds
+
+        [ghost, G_0 ... G_{n-f-1}, ghost, F_0 ... F_{f+n}]
+
+    with G over the integer levels 0..n-f-1 an absorbed path can end on
+    and F over the fractional levels j0_frac + g.  A down move from
+    integer 0 stays at 0 and one from F_0 is absorbed at 0, so both
+    ghost cells hold G_0, refreshed before each step, and every cell then
+    steps by the same stencil new[i] = w_up x[i+1] + w_dn x[i-1].  An
+    integer start holds [ghost, G_0 ... G_{f+n}].  A start that no path
+    can be absorbed from (f >= n: absorption takes f + 1 down moves)
+    holds its own levels f - n .. f + n and no ghosts.
+
+    At time t (t steps after the start) only levels within t of the
+    start can reach it, so the step to time t updates one slice that
+    ends at the start's level f + t (and, without ghosts, begins at
+    f - t).  The slice shrinks by one cell a step, so every cell it
+    reads is a ghost or was written by the step before.  G_{n-f-1} reads the F ghost
+    as its upper neighbour, but an integer level g is reachable at time
+    t only for g <= t - f - 1, so no reachable cell depends on it.  Up
+    weight is q_adj for calls and 1 - q_adj for puts.  No per-step
+    discounting: the adjusted weights already price relative to the spot
+    numeraire (q_adj + (1 - q_adj) = 1 absorbs e^{-r tau/n}), so the
+    price is simply spot times the start-level expectation.
     """
+    par = tree_params(market, n, side)
     if n > TREE_MAX_N:
         raise BudgetError(
             f"price_backward_induction is limited to n <= {TREE_MAX_N}, got {n}"
         )
-    par = tree_params(market, n, side)
-    s = par.s
     floor, frac = par.j0_floor, par.j0_frac
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
     w_dn = 1.0 - w_up
-    lo = max(0, floor - n)  # lowest level that can reach the start
+    # (levels, ghost indices, index of the start level); a ghost's level
+    # is 0 and its value is refreshed before it is read
+    if floor >= n:
+        levels = frac + np.arange(floor - n, floor + n + 1, dtype=np.float64)
+        ghosts, start = (), n
+    elif frac > 0.0:
+        levels = np.concatenate(([0.0], np.arange(n - floor, dtype=np.float64), [0.0],
+                                 frac + np.arange(floor + n + 1, dtype=np.float64)))
+        ghosts, start = (0, n - floor + 1), n + 2
+    else:
+        levels = np.concatenate(([0.0], np.arange(floor + n + 1, dtype=np.float64)))
+        ghosts, start = (0,), floor + 1
 
-    int_levels = np.arange(lo, floor + n + 1, dtype=np.float64)
-    g = _payoffs(int_levels, s, side)
-    has_frac = frac > 0.0
-    if has_frac:
-        f_col = _payoffs(frac + int_levels, s, side)
-
-    # Two columns per level set take turns as source and target, so the
-    # loop allocates nothing: fresh per-step temporaries land on whatever
-    # alignment malloc gives them, and their speed varied by 1.6x with it.
-    g_new = np.empty_like(g)
-    scratch = np.empty(g.size - 2)
-    if has_frac:
-        f_new = np.empty_like(f_col)
-    for _ in range(n):
-        g_new[0] = w_up * g[1] + w_dn * g[0] if lo == 0 else g[0]
-        _interior_step(g, g_new, w_up, w_dn, scratch)
-        g_new[-1] = g[-1]  # stale top cell, never reachable from the start
-        if has_frac:
-            f_new[0] = w_up * f_col[1] + w_dn * g[0] if lo == 0 else f_col[0]
-            _interior_step(f_col, f_new, w_up, w_dn, scratch)
-            f_new[-1] = f_col[-1]
-            f_col, f_new = f_new, f_col
-        g, g_new = g_new, g
-
-    start_value = f_col[floor - lo] if has_frac else g[floor - lo]
-    return market.spot * float(start_value)
+    # Two columns take turns as source and target, so the loop allocates
+    # nothing: fresh per-step temporaries land on whatever alignment
+    # malloc gives them, and their speed varied by 1.6x with it.
+    col = _payoffs(levels, par.s, side)
+    new = np.empty_like(col)
+    scratch = np.empty_like(col)
+    for t in range(n - 1, -1, -1):
+        for i in ghosts:
+            col[i] = col[1]
+        lo = 1 if ghosts else start - t
+        hi = start + t + 1
+        out, tmp = new[lo:hi], scratch[lo:hi]
+        np.multiply(col[lo + 1:hi + 1], w_up, out=out)
+        np.multiply(col[lo - 1:hi - 1], w_dn, out=tmp)
+        out += tmp
+        col, new = new, col
+    return market.spot * float(col[start])

@@ -4,10 +4,12 @@ Everything here is deliberately naive: exact rational arithmetic via
 fractions.Fraction and math.comb, 40-digit mpmath sums, and an exhaustive
 walk of the level process that tallies every one of the 2^n up/down
 words by endpoint.  None of it shares code with the package under test,
-with one exception: ``expansion_coeffs_at_emission`` is a specialisation
-check, not an independent evaluation.  It shares ``d_values``, Phi and
-``bs_price`` with the package and rewrites only the c1 and c2 algebra at
-spot = extremum.
+with two exceptions.  ``expansion_coeffs_at_emission`` is a
+specialisation check, not an independent evaluation.  It shares
+``d_values``, Phi and ``bs_price`` with the package and rewrites only
+the c1 and c2 algebra at spot = extremum.  ``dense_backward_induction``
+shares ``tree_params`` and the terminal payoffs with the package, so
+that comparing it with the package's tree tests only the stepping.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
-from lookback import MarketState, PriceExpansion, Side, bs_price, d_values
+from lookback import MarketState, PriceExpansion, Side, bs_price, d_values, tree_params
+from lookback.lattice import _payoffs
 from lookback.numerics import std_normal_cdf, std_normal_pdf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -264,6 +268,30 @@ def walk_level_paths(j0: Fraction, n: int) -> dict[tuple[Fraction, int], int]:
                 stepped[key] = stepped.get(key, 0) + count
         counts = stepped
     return counts
+
+
+def dense_backward_induction(market: MarketState, n: int, side: Side) -> float:
+    """Backward induction over every level from 0 up, in plain floats.
+
+    The integer column G and the fractional column F (levels j0_frac + g)
+    are Python lists over all levels 0 .. f + t at time t, f = j0_floor;
+    no cell is left out for being out of reach of the start.  Each cell
+    becomes w_up * (value above) + w_dn * (value below), where below 0 a
+    G cell stays at G_0 and an F cell is absorbed into G_0.  An integer
+    start reads G, a fractional one F.
+    """
+    par = tree_params(market, n, side)
+    w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
+    w_dn = 1.0 - w_up
+    levels = np.arange(par.j0_floor + n + 1, dtype=np.float64)
+    g = _payoffs(levels, par.s, side).tolist()
+    f = _payoffs(par.j0_frac + levels, par.s, side).tolist()
+    for _ in range(n):
+        f = [w_up * f[1] + w_dn * g[0]] + [w_up * f[i + 1] + w_dn * f[i - 1]
+                                           for i in range(1, len(f) - 1)]
+        g = [w_up * g[1] + w_dn * g[0]] + [w_up * g[i + 1] + w_dn * g[i - 1]
+                                           for i in range(1, len(g) - 1)]
+    return market.spot * (f if par.j0_frac > 0.0 else g)[par.j0_floor]
 
 
 def walk_price(

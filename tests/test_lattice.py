@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,13 @@ from lookback import lattice, numerics
 from lookback.cli import TABLE_N_VALUES
 from lookback.errors import BudgetError, DomainError, ModelError
 
-from .oracles import closed_sum_mp, lattice_ratios_mp, walk_level_paths, walk_price
+from .oracles import (
+    closed_sum_mp,
+    dense_backward_induction,
+    lattice_ratios_mp,
+    walk_level_paths,
+    walk_price,
+)
 
 T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
 T2 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.0, tau=1.27)
@@ -214,6 +221,18 @@ class TestTreeParams:
     def test_n_zero_rejected(self):
         with pytest.raises(DomainError):
             tree_params(T1, 0, "call")
+
+    @pytest.mark.parametrize("pricer", [price_closed, price_closed_reduced,
+                                        price_backward_induction])
+    @pytest.mark.parametrize("n", [5.0, 5.5, "7", None])
+    def test_non_integer_n_rejected(self, pricer, n):
+        with pytest.raises(DomainError):
+            pricer(T1, n, "call")
+
+    @pytest.mark.parametrize("pricer", [price_closed, price_closed_reduced,
+                                        price_backward_induction])
+    def test_numpy_integer_n_accepted(self, pricer):
+        assert pricer(T1, np.int64(50), "call") == pricer(T1, 50, "call")
 
     @settings(max_examples=80, deadline=None)
     @given(market=market_strategy, n=st.integers(min_value=10, max_value=400))
@@ -531,13 +550,32 @@ class TestPriceBackwardInduction:
         with pytest.raises(BudgetError):
             price_backward_induction(T1, 5001, "call")
 
+    @pytest.mark.parametrize("side,rate", [("call", 0.0), ("call", 0.08),
+                                           ("put", 0.0), ("put", 0.08)])
+    def test_matches_dense_oracle_bit_for_bit(self, side, rate):
+        """The banded single-column tree returns exactly the float of a
+        tree that steps every level from 0 up in plain Python: emission,
+        integer and fractional starts, starts just below and above n, and
+        starts no path can be absorbed from."""
+        sigma, tau = 0.3, 0.5
+        for n in range(1, 41):
+            s = sigma * math.sqrt(tau / n)
+            for j0 in (0, 3, 2.4, n - 0.5, n, n + 1.75, 2 * n + 0.5):
+                ratio = math.exp(j0 * s)
+                market = MarketState(spot=100.0, extremum=100.0 / ratio if side == "call"
+                                     else 100.0 * ratio, sigma=sigma, rate=rate, tau=tau)
+                got = price_backward_induction(market, n, side)
+                want = dense_backward_induction(market, n, side)
+                assert got == want, f"n={n}, j0={j0}: {got!r} vs {want!r}"
+
     @pytest.mark.parametrize("side,extremum", [("call", 1.0), ("put", 1e4)])
     def test_far_start_level_is_banded(self, side, extremum):
         """spot/extremum = 100 at sigma = 0.01, tau = 1e-4 puts the start
-        2,059,494 levels up at n = 2000.  Only the 2n + 1 levels within
-        reach of the start are stepped, so the tree takes milliseconds
-        (unbanded, 2e6 cells per column for 2000 steps) and matches the
-        closed sum."""
+        2,059,494 levels up at n = 2000, beyond any absorption.  The tree
+        holds only the 2n + 1 levels within n of the start and steps the
+        2t + 1 of them within t of it at time t, so it takes milliseconds
+        (unbanded, 2e6 cells for 2000 steps) and matches the closed
+        sum."""
         market = MarketState(spot=100.0, extremum=extremum, sigma=0.01, rate=0.05,
                              tau=1e-4)
         start = time.perf_counter()
@@ -550,8 +588,10 @@ class TestPriceBackwardInduction:
     @pytest.mark.parametrize("side", ["call", "put"])
     @pytest.mark.parametrize("n,offset", [(5, 0.5), (40, 3.0), (40, 17.25), (301, 1.75)])
     def test_band_edge_near_the_start(self, side, n, offset):
-        """Start levels just above n, where the band's lower edge is
-        stale but still close to the start."""
+        """Start levels just above n, which no path can be absorbed
+        from: the column holds levels f - n .. f + n with no ghost cells,
+        and its lowest cell, a few levels above 0, is read only by the
+        first backward step."""
         sigma, tau = 0.2, 1.27
         ratio = math.exp((n + offset) * sigma * math.sqrt(tau / n))
         market = MarketState(spot=80.0, extremum=80.0 / ratio if side == "call"
