@@ -315,6 +315,24 @@ class TestPathCounts:
         with pytest.raises(DomainError):
             path_count(1.0, 0.0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [5.0, 5.5, "7", None])
+    def test_non_integer_n_and_k_rejected(self, bad):
+        with pytest.raises(DomainError):
+            list(iter_path_counts(0.0, bad))
+        with pytest.raises(DomainError):
+            path_count(0.0, 1.0, 3, bad)
+        with pytest.raises(DomainError):
+            path_count(0.0, 1.0, bad, 5)
+
+    def test_numpy_integer_n_and_k_accepted(self):
+        assert list(iter_path_counts(1.6, np.int64(5))) == list(iter_path_counts(1.6, 5))
+        assert path_count(1.6, 2.6, np.int64(3), np.int64(5)) == 9
+
+    @pytest.mark.parametrize("j0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, j0):
+        with pytest.raises(DomainError):
+            list(iter_path_counts(j0, 5))
+
 
 class TestProbabilityMass:
     @settings(max_examples=30, deadline=None)
@@ -390,6 +408,26 @@ def _closed_sum_mp(market: MarketState, n: int, side: str):
     par = tree_params(market, n, side)
     w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
     return closed_sum_mp(market.spot, n, w_up, par.j0, par.j0_floor, par.s, side)
+
+
+# (spot, extremum, sigma, rate, tau, n) of calls that price_closed's sums
+# put 1.6e-16 to 4.4e-16 relative above spot, where the price tends to spot
+CALLS_NEAR_SPOT = [
+    (87.67412162917454, 41.61560457517693, 8.844315758515796, 3.240377741539851e-08,
+     23.388526053033033, 85),
+    (214.6816323297593, 21.379849374909693, 4.253163029559648, 0.0, 24.410891854945056, 101),
+    (8261.450323902052, 5561.564308127333, 9.434108357512072, 0.886725427074273,
+     2.81484476259427, 116),
+]
+
+
+@pytest.mark.parametrize("pricer", [price_closed, price_closed_reduced,
+                                    price_backward_induction])
+@pytest.mark.parametrize("spot,extremum,sigma,rate,tau,n", CALLS_NEAR_SPOT)
+def test_call_within_spot(pricer, spot, extremum, sigma, rate, tau, n):
+    """A call's payoff S_T - min is at most S_T, so its price is at most spot."""
+    market = MarketState(spot=spot, extremum=extremum, sigma=sigma, rate=rate, tau=tau)
+    assert 0.0 <= pricer(market, n, "call") <= spot
 
 
 class TestClosedSum:

@@ -285,6 +285,14 @@ class TestBinomCdfs:
         assert [is_packed for _, is_packed in kernel_calls] == [True, False]
         assert got == _one_at_a_time(specs)
 
+    def test_later_rounds_pack_the_walks_still_going(self, kernel_calls):
+        # both upper sums from far below the mean go on past their first
+        # chunk, and their second chunks share the second round's call
+        specs = [(1000, 0.5, 100, True), (999, 0.4, 80, True), (1000, 0.5, 520, False)]
+        got = binom_cdfs(specs)
+        assert kernel_calls == [(596, True), (396, True)]
+        assert got == _one_at_a_time(specs)
+
     def test_random_specs(self):
         rng = np.random.default_rng(7)
         specs = []
@@ -300,6 +308,39 @@ class TestBinomCdfs:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             binom_cdfs([(10, 0.3, 4, False), (10, 1.0, 4, True)])
+
+
+NOT_INTEGERS = [5.0, 5.5, "7", None]
+
+# each entry point with one integer argument left open, valid elsewhere
+INTEGER_ARGS = {
+    "binom_pmf n": lambda x: binom_pmf(x, 0.3, 2),
+    "binom_pmf k": lambda x: binom_pmf(10, 0.3, x),
+    "binom_pmf_log n": lambda x: binom_pmf_log(x, 0.3, 2),
+    "binom_pmf_log k": lambda x: binom_pmf_log(10, 0.3, x),
+    "binom_cdf_exact n": lambda x: binom_cdf_exact(x, 0.3, 2),
+    "binom_cdf_exact j": lambda x: binom_cdf_exact(10, 0.3, x),
+    "binom_cdf_complement n": lambda x: binom_cdf_complement(x, 0.3, 2),
+    "binom_cdf_complement j": lambda x: binom_cdf_complement(10, 0.3, x),
+    "binom_cdfs n": lambda x: binom_cdfs([(10, 0.3, 4, False), (x, 0.3, 2, True)]),
+    "binom_cdfs j": lambda x: binom_cdfs([(10, 0.3, 4, False), (10, 0.3, x, True)]),
+}
+
+
+class TestIntegerArguments:
+    """n, k and j are refused with DomainError unless ``operator.index``
+    takes them, so 5.0 is not read as 5 nor 5.5 summed as a fraction."""
+
+    @pytest.mark.parametrize("arg", INTEGER_ARGS)
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_non_integer_rejected(self, arg, bad):
+        with pytest.raises(DomainError):
+            INTEGER_ARGS[arg](bad)
+
+    @pytest.mark.parametrize("arg", INTEGER_ARGS)
+    def test_numpy_integer_accepted(self, arg):
+        value = 10 if arg.endswith(" n") else 5
+        assert INTEGER_ARGS[arg](np.int64(value)) == INTEGER_ARGS[arg](value)
 
 
 def _bd0_series_terms_loop(v_max):
