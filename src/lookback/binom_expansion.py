@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import DomainError
-from .numerics import std_normal_cdf, std_normal_pdf
+from .numerics import as_index, std_normal_cdf, std_normal_pdf
 
 __all__ = [
     "CdfExpansion",
@@ -86,6 +86,7 @@ class CdfExpansion:
 
 def cdf_expansion(n: int, p: float, j: int) -> CdfExpansion:
     """Fourth-order normal approximation of P(Bin(n, p) <= j)."""
+    n, j = as_index(n, "n"), as_index(j, "j")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     if not 0.0 < p < 1.0:
@@ -236,6 +237,7 @@ def complementary_expansion(seq: SequenceCoeffs, n: int) -> float:
     For the lower tail P(X <= j), write j with -1/2 in place of +1/2 in
     the j_n expansion and take 1 minus this result.
     """
+    n = as_index(n, "n")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     A = seq.A

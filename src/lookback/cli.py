@@ -43,7 +43,7 @@ import stat
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 from .asymptotics import expansion_coeffs, expansion_price, residual_scan
 from .binom_expansion import cdf_expansion
@@ -57,7 +57,7 @@ from .lattice import (
     price_closed,
     price_closed_reduced,
 )
-from .numerics import binom_cdf_exact
+from .numerics import as_index, binom_cdf_exact
 
 __all__ = [
     "Method",
@@ -98,8 +98,12 @@ class RunConfig:
     method: Method
 
     def __post_init__(self) -> None:
+        if self.method not in get_args(Method):
+            raise DomainError(f"method must be one of {get_args(Method)}, got {self.method!r}")
         if not self.n_values:
             raise DomainError("n_values must be nonempty")
+        for n in self.n_values:
+            as_index(n, "n")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise DomainError(f"n_values must be strictly increasing, got {self.n_values}")
         if self.n_values[0] < 1:

@@ -45,12 +45,12 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, ModelError
 from .numerics import (
-    GL_MAX_SPREAD, _binom_pmf_log_vec, _pmf_consts, as_index, binom_cdfs, binom_pmf,
-    expm1_ratio, gl_mean, log1p_ratio,
+    GL_MAX_SPREAD, _binom_pmf_log_vec, _pmf_consts, as_index, binom_cdfs, expm1_ratio,
+    gl_mean, log1p_ratio,
 )
 
 # Unused here; perfbench/spans.py wraps these names on this module.
-from .numerics import binom_cdf_complement, binom_cdf_exact  # noqa: F401
+from .numerics import binom_cdf_complement, binom_cdf_exact, binom_pmf  # noqa: F401
 
 __all__ = [
     "Side",
@@ -294,13 +294,18 @@ def iter_path_counts(j0: float, n: int) -> Iterator[PathCount]:
     """All path counts with nonzero count, each (j, k) exactly once.
 
     The three class ranges are pairwise disjoint in (j, k), including for
-    integer j0 where unabsorbed levels are themselves integers.
+    integer j0 where unabsorbed levels are themselves integers.  The
+    arguments are checked at the call, before the first cell is asked for.
     """
     n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0.0 <= j0 < math.inf:
         raise DomainError(f"j0 must be finite and nonnegative, got {j0}")
+    return _path_counts(j0, n)
+
+
+def _path_counts(j0: float, n: int) -> Iterator[PathCount]:
     floor, frac = _split_level(j0)
     j0_eff = floor + frac
     # plain binomial: too high to be absorbed
@@ -400,7 +405,7 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
 
         Bin_{1-w'}(j3) - Bin_w(j3) = -n (1 - w' - w) mean_{t in [w, 1-w']} pmf_{n-1,t}(j3).
 
-    The mean is ``gl_mean`` over one scalar ``binom_pmf`` at the midpoint
+    The mean is ``gl_mean`` over the pmf at the midpoint
     times the exact ratios pmf_{n-1,t} / pmf_{n-1,mid} in plain floats.
     Where the interval is wide against the pmf's scale in t (spread above
     ``GL_MAX_SPREAD``) the two CDFs are taken and differenced directly,
@@ -408,18 +413,20 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     keeps the form that is exact for its side (for a put, rho c - 1 =
     uWm1; for a call, Qdm1).
 
-    Six CDFs (seven where the difference is direct) of O(sqrt(n)) time
-    each (see ``binom_cdf_exact``) go to one ``binom_cdfs`` call, which
-    evaluates their chunks, round by round, in shared pmf kernel calls of
-    at most 4,096 entries: on the table markets one call up to n = 5000,
-    where every sum ends in its first chunk, and a call per CDF from
-    n = 1.2e5 on.  The pmf terms are scalar ``binom_pmf`` calls.  Against
+    Six CDFs of O(sqrt(n)) time each (see ``binom_cdf_exact``) and, as
+    single-term specs, the midpoint pmf and the parity-edge pmf go to one
+    ``binom_cdfs`` call; where the difference is direct a seventh CDF
+    takes the midpoint pmf's slot.  That call evaluates their chunks,
+    round by round, in shared pmf kernel calls of at most 4,096 entries:
+    on the table markets one call up to n = 5000, where every sum ends in
+    its first chunk, and a call per CDF from n = 1.2e5 on.  Against
     ``price_closed`` on the table markets at n = 1e4, 1e5 and 1e6 the
     result stays within 3.1e-14 relative on T1, 2.5e-13 on T3, 5.8e-14
     on T2 and 1.4e-13 on T4, and on the T1 and T3 markets at r = 1e-8 and
     1e-11 within 2.4e-13.  Against backward induction at n = 500 both
     stay within 1.1e-14 for every r from 0 through 1e-14, 1e-13, ...,
-    1e-1 to 0.3.
+    1e-1 to 0.3.  A call is clamped to spot, as in ``price_closed``: at
+    sigma sqrt(tau) of about 16.5 the sum rounds to 2.2e-16 past it.
     """
     par = tree_params(market, n, side)
     spot = market.spot
@@ -454,12 +461,14 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     half = 0.5 * x * width_x
     spread = 2.0 * abs(half) * max(abs(j3 / t - (n - 1 - j3) / (1.0 - t)) for t in (w, wp_c))
     direct = spread > GL_MAX_SPREAD
+    mid = wp_c - half
     specs = [(n, wp, j1 - 1, True), (n, w, j1 - 1, True)]
     if n_inner >= 0:
         specs += [(n, wp, j2 - 1, True), (n, w, j2 - 1, True),
-                  (n, wp_c, j3, False), (n, w_c, j3, False)]
-        if direct:
-            specs.append((n, w, j3, False))
+                  (n, wp_c, j3, False), (n, w_c, j3, False),
+                  (n, w, j3, False) if direct else (n - 1, mid, j3, None)]
+        if n_inner % 2 == 0:
+            specs.append((n, w, j3, None))
     cdf = binom_cdfs(specs)
     # extremum/spot as c^{j0}: consistent with the snapped level
     ms_disc = math.exp(sign * par.j0 * par.s) * disc
@@ -470,7 +479,7 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
                  - math.exp(-(floor + 1) * log_rho) * cdf[3])
     # parity edge term: the top absorbed level is reached only when
     # n - floor - 1 and the step count share parity
-    edge = one_m_cinv * binom_pmf(n, w, j3) if n_inner % 2 == 0 else 0.0
+    edge = one_m_cinv * cdf[7] if n_inner % 2 == 0 else 0.0
     # K = e^E c + (c - 1) expm1(E)/(rho c - 1), with r tau/(rho c - 1) = n/rc_x
     big_e = -market.rate * market.tau - (floor + 2) * math.log1p(rc_m1)
     e_over_rc = -n / rc_x - (floor + 2) * log1p_ratio(rc_m1)
@@ -478,16 +487,14 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     if direct:
         div = rho * cm1 / rc_m1 * (cdf[4] - cdf[6])
     else:
-        mid = wp_c - half
-        pmf_mid = binom_pmf(n - 1, mid, j3)
-
         def ratio(off: float) -> float:
             return math.exp(j3 * math.log1p(off / mid)
                             + (n - 1 - j3) * math.log1p(-off / (1.0 - mid)))
 
-        div = -rho * cm1 * (width_x / rc_x) * n * pmf_mid * gl_mean(ratio, half)
+        div = -rho * cm1 * (width_x / rc_x) * n * cdf[6] * gl_mean(ratio, half)
     v3 = rho * k * cdf[4] + div - math.exp(-(floor + 1) * log_rho) * cdf[5] + edge
-    return spot * (v1 - v2 + sign * v3)
+    price = spot * (v1 - v2 + sign * v3)
+    return min(price, spot) if side == "call" else price
 
 
 def price_backward_induction(market: MarketState, n: int, side: Side) -> float:

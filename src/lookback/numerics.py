@@ -15,6 +15,12 @@ bd0(x, m) = x log(x/m) + m - x is summed by a cancellation-free series
 when x is close to m.  This keeps relative error near 1e-15 for n up to
 1e6, where a plain lgamma difference loses ~5 digits.
 
+Every pmf the package evaluates comes from the one kernel
+``_binom_pmf_log_vec``: ``binom_pmf_log`` is one entry of it and
+``binom_pmf`` a one-spec ``binom_cdfs`` call, so a lone scalar call pays
+its fixed numpy cost (0.1 to 0.2 ms on a 2-CPU x86 VM); many terms go to
+``binom_cdfs`` together.
+
 The binomial CDFs sum O(sqrt(n)) of these terms, not O(n).  A sum starts
 at its inner end, or at the edge of the bulk window
 [np - 12 sd - 10, np + 12 sd + 10] if that end lies beyond it, and walks
@@ -196,28 +202,6 @@ def _stirlerr(k: float) -> float:
     return _stirlerr_series(k)
 
 
-def _bd0_series(
-    x: float | np.ndarray, m: float | np.ndarray, v: float | np.ndarray, terms: int
-) -> float | np.ndarray:
-    """(x - m) v + sum_{j=1}^{terms} 2 x v^{2j+1} / (2j + 1), the near-branch
-    series of bd0 with v = (x - m)/(x + m)."""
-    s = (x - m) * v
-    ej = 2.0 * x * v
-    v2 = v * v
-    for j in range(1, terms + 1):
-        ej *= v2
-        s += ej / (2 * j + 1)
-    return s
-
-
-def _bd0(x: float, m: float) -> float:
-    """x log(x/m) + m - x, by series when x is near m to avoid cancellation."""
-    if abs(x - m) < 0.1 * (x + m):
-        v = (x - m) / (x + m)
-        return _bd0_series(x, m, v, _bd0_series_terms(abs(v)))
-    return x * math.log(x / m) + m - x
-
-
 def as_index(value: object, name: str) -> int:
     """value as an int if ``operator.index`` takes it (numpy integers pass;
     5.0, 5.5, "7" and None do not), else DomainError naming it."""
@@ -235,29 +219,17 @@ def _check_binom_args(n: int, p: float) -> None:
 
 
 def binom_pmf_log(n: int, p: float, k: int) -> float:
-    """log[ C(n,k) p^k (1-p)^{n-k} ]."""
+    """log[ C(n,k) p^k (1-p)^{n-k} ], one entry of ``_binom_pmf_log_vec``."""
     _check_binom_args(n, p)
     if not 0 <= as_index(k, "k") <= n:
         raise DomainError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
-    if k == 0:
-        return n * math.log1p(-p)
-    if k == n:
-        return n * math.log(p)
-    kf = float(k)
-    nf = float(n)
-    return (
-        _stirlerr(nf) - _stirlerr(kf) - _stirlerr(nf - kf)
-        - _bd0(kf, nf * p) - _bd0(nf - kf, nf * (1.0 - p))
-        + 0.5 * math.log(nf / (2.0 * math.pi * kf * (nf - kf)))
-    )
+    return float(_binom_pmf_log_vec(np.array([k], dtype=np.int64), _pmf_consts(n, p))[0])
 
 
 def binom_pmf(n: int, p: float, k: int) -> float:
-    """C(n,k) p^k (1-p)^{n-k}; zero outside 0 <= k <= n."""
-    _check_binom_args(n, p)
-    if not 0 <= as_index(k, "k") <= n:
-        return 0.0
-    return math.exp(binom_pmf_log(n, p, k))
+    """C(n,k) p^k (1-p)^{n-k}; zero outside 0 <= k <= n.  A one-spec
+    ``binom_cdfs`` call, like ``binom_cdf_exact``."""
+    return binom_cdfs([(n, p, k, None)])[0]
 
 
 def _stirlerr_vec(ks: np.ndarray) -> np.ndarray:
@@ -278,10 +250,11 @@ def _bd0_series_terms(v_max: float) -> int:
     partial sums stay above 0.96 of the leading term.  Once that bound is
     below 2^-56 the term is under half an ulp of the partial sum, and so
     is every later, smaller term; the result is the same as iterating
-    until no entry changes.  The count is one plus the number of j whose
-    bound is still above 2^-56; ``_BD0_TERM_THRESHOLDS`` holds, for
-    j = 1..8, the least float v_max where it is, so |v| < 0.1 needs at
-    most 9 terms.
+    until no entry changes, so the extra terms a packed entry gets from
+    its call's largest |v| leave its bits alone.  The count is one plus
+    the number of j whose bound is still above 2^-56;
+    ``_BD0_TERM_THRESHOLDS`` holds, for j = 1..8, the least float v_max
+    where it is, so |v| < 0.1 needs at most 9 terms.
     """
     return 1 + bisect.bisect_right(_BD0_TERM_THRESHOLDS, v_max)
 
@@ -292,6 +265,9 @@ def _at(value: float | np.ndarray, mask: np.ndarray) -> float | np.ndarray:
 
 
 def _bd0_vec(xs: np.ndarray, m: float | np.ndarray) -> np.ndarray:
+    """x log(x/m) + m - x per entry; where x is near m, by the series
+    (x - m) v + sum_j 2 x v^{2j+1} / (2j + 1), v = (x - m)/(x + m), which
+    does not cancel."""
     out = np.empty_like(xs)
     near = np.abs(xs - m) < 0.1 * (xs + m)
     far = ~near
@@ -301,7 +277,13 @@ def _bd0_vec(xs: np.ndarray, m: float | np.ndarray) -> np.ndarray:
     if near.any():
         x, mn = xs[near], _at(m, near)
         v = (x - mn) / (x + mn)
-        out[near] = _bd0_series(x, mn, v, _bd0_series_terms(float(np.max(np.abs(v)))))
+        s = (x - mn) * v
+        ej = 2.0 * x * v
+        v2 = v * v
+        for j in range(1, _bd0_series_terms(float(np.max(np.abs(v)))) + 1):
+            ej *= v2
+            s += ej / (2 * j + 1)
+        out[near] = s
     return out
 
 
@@ -368,10 +350,12 @@ def binom_cdf_complement(n: int, p: float, j: int) -> float:
     return binom_cdfs([(n, p, j, True)])[0]
 
 
-def binom_cdfs(specs: Sequence[tuple[int, float, int, bool]]) -> list[float]:
+def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[float]:
     """Several CDFs at once: for each (n, p, j, upper) in specs, the upper
-    tail sum of ``binom_cdf_complement`` if upper, else the lower CDF of
-    ``binom_cdf_exact`` (those two are one-spec calls of this function).
+    tail sum of ``binom_cdf_complement`` if upper is True, the lower CDF
+    of ``binom_cdf_exact`` if False, and the single term pmf(n, p, j) of
+    ``binom_pmf`` (0.0 outside 0..n) if None; those three are one-spec
+    calls of this function.
 
     Each sum for 0 <= j < n is a walk over pmf(n, p, k): from j down, or
     from j + 1 up, but from the edge of the bulk window
@@ -386,8 +370,9 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool]]) -> list[float]:
     going down and (n-k) p / ((k+1) (1-p)) going up.  The first grows
     with k and the second shrinks, so along either walk r_k never
     increases: once r_a < 1 the unsummed tail is at most the geometric
-    series t_a (r_a + r_a^2 + ...) = t_a r_a / (1 - r_a).  At the end of
-    the support r_a = 0, so every walk stops there at the latest.
+    series t_a (r_a + r_a^2 + ...) = t_a r_a / (1 - r_a).  A walk also
+    stops when its range runs out: a sum's at the end of the support,
+    where r_a = 0 would stop it too, and a single term's after one term.
 
     The walks go in rounds.  Each round evaluates the next chunk of every
     walk still going, in spec order, in packed kernel calls of at most
@@ -403,15 +388,21 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool]]) -> list[float]:
     for n, p, j, upper in specs:
         _check_binom_args(n, p)
         j = as_index(j, "j")
-        if j < 0 or j >= n:
+        if upper is None:
+            if not 0 <= j <= n:
+                out.append(0.0)
+                continue
+            walk, size = range(j, j + 1), 1
+        elif j < 0 or j >= n:
             out.append(1.0 if (j < 0) == upper else 0.0)
             continue
-        half = _WINDOW_SD * math.sqrt(n * p * (1.0 - p)) + _WINDOW_PAD
-        if upper:
-            walk = range(max(j + 1, math.floor(n * p - half)), n + 1)
         else:
-            walk = range(min(j, math.ceil(n * p + half)), -1, -1)
-        size = math.ceil(half)
+            half = _WINDOW_SD * math.sqrt(n * p * (1.0 - p)) + _WINDOW_PAD
+            if upper:
+                walk = range(max(j + 1, math.floor(n * p - half)), n + 1)
+            else:
+                walk = range(min(j, math.ceil(n * p + half)), -1, -1)
+            size = math.ceil(half)
         walks.append((len(out), n, p, walk[:size], walk[size:], 0.0, []))
         out.append(math.nan)
     while walks:
@@ -425,7 +416,8 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool]]) -> list[float]:
                     ratio = a * (1.0 - p) / ((n - a + 1) * p)
                 else:
                     ratio = (n - a) * p / ((a + 1) * (1.0 - p))
-                if ratio < 1.0 and terms[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio):
+                if not rest or (ratio < 1.0 and
+                                terms[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
                     out[slot] = min(math.fsum(np.concatenate(chunks).tolist()), 1.0)
                     # free this walk's arrays now, not at the round's end: the
                     # next call reuses warm memory (15% faster at n = 1e6)

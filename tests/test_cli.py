@@ -51,6 +51,15 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             _config(n_values=(0, 5))
 
+    def test_rejects_unknown_method(self):
+        with pytest.raises(DomainError):
+            _config(n_values=(5,), method="nonsense")
+
+    @pytest.mark.parametrize("method", ["bs", "reduced"])
+    def test_rejects_non_integer_n(self, method):
+        with pytest.raises(DomainError):
+            _config(n_values=(2.5,), method=method)
+
     @pytest.mark.parametrize("method", ["tree", "closed"])
     def test_per_step_methods_are_budgeted(self, method):
         with pytest.raises(BudgetError):

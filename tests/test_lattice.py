@@ -333,6 +333,12 @@ class TestPathCounts:
         with pytest.raises(DomainError):
             list(iter_path_counts(j0, 5))
 
+    @pytest.mark.parametrize("j0,n", [(math.nan, 5), (math.inf, 5), (-1.0, 5),
+                                      (0.0, 5.0), (0.0, 0)])
+    def test_refused_at_the_call(self, j0, n):
+        with pytest.raises(DomainError):
+            iter_path_counts(j0, n)
+
 
 class TestProbabilityMass:
     @settings(max_examples=30, deadline=None)
@@ -411,13 +417,18 @@ def _closed_sum_mp(market: MarketState, n: int, side: str):
 
 
 # (spot, extremum, sigma, rate, tau, n) of calls that price_closed's sums
-# put 1.6e-16 to 4.4e-16 relative above spot, where the price tends to spot
+# put 1.6e-16 to 4.4e-16 relative above spot, where the price tends to spot,
+# and (the last two) that price_closed_reduced's put 2.2e-16 above it
 CALLS_NEAR_SPOT = [
     (87.67412162917454, 41.61560457517693, 8.844315758515796, 3.240377741539851e-08,
      23.388526053033033, 85),
     (214.6816323297593, 21.379849374909693, 4.253163029559648, 0.0, 24.410891854945056, 101),
     (8261.450323902052, 5561.564308127333, 9.434108357512072, 0.886725427074273,
      2.81484476259427, 116),
+    (4.154155499349528, 3.807908762032182, 3.434727580726982, 1.0420111821095741e-13,
+     23.02997871878552, 219),
+    (2.90157339748838, 0.03929265429900224, 3.6553721892133555, 8.901567779559247e-06,
+     20.66795101218289, 166),
 ]
 
 

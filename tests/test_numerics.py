@@ -21,6 +21,7 @@ from lookback import (
     std_normal_pdf,
 )
 from lookback import numerics
+from lookback.binom_expansion import SequenceCoeffs, cdf_expansion, complementary_expansion
 from lookback.errors import DomainError
 
 from .oracles import (
@@ -133,7 +134,9 @@ class TestBinomPmfLog:
 
     @pytest.mark.parametrize("n,p", [(100, 0.5), (100000, 0.47)])
     def test_normalization(self, n, p):
-        total = math.fsum(math.exp(binom_pmf_log(n, p, k)) for k in range(n + 1))
+        # the terms of binom_pmf_log, through the kernel's packed calls
+        # (a public call per term costs about 0.1 ms)
+        total = math.fsum(binom_cdfs([(n, p, k, None) for k in range(n + 1)]))
         assert abs(total - 1.0) <= 1e-12, f"sum pmf = {total}"
 
     @pytest.mark.parametrize(
@@ -240,25 +243,34 @@ class TestBinomCdf:
             assert binom_cdf_exact(100, 0.5, j) <= 1.0
 
 
+_ONE_SPEC = {True: binom_cdf_complement, False: binom_cdf_exact, None: binom_pmf}
+
+
 def _one_at_a_time(specs):
-    return [binom_cdf_complement(n, p, j) if upper else binom_cdf_exact(n, p, j)
-            for n, p, j, upper in specs]
+    return [_ONE_SPEC[upper](n, p, j) for n, p, j, upper in specs]
 
 
 class TestBinomCdfs:
     """The packed entry point returns what one-at-a-time calls return, bit
-    for bit."""
+    for bit, for CDF and single-term (upper=None) specs alike."""
 
     def test_trivial_indices(self):
         specs = [(n, 0.3, j, upper) for n in (0, 1, 10)
-                 for j in (-5, -1, n, n + 1, n + 7) for upper in (False, True)]
+                 for j in (-5, -1, n, n + 1, n + 7) for upper in (False, True, None)]
         assert binom_cdfs(specs) == _one_at_a_time(specs)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_chunks_reach_both_ends_of_the_support(self, n):
         specs = [(n, p, j, upper) for p in (0.03, 0.5, 0.97)
-                 for j in range(-1, n + 1) for upper in (False, True)]
+                 for j in range(-1, n + 2) for upper in (False, True, None)]
         assert binom_cdfs(specs) == _one_at_a_time(specs)
+
+    def test_single_terms(self):
+        assert binom_cdfs([(0, 0.3, 0, None), (10, 0.3, -1, None), (10, 0.3, 11, None)]) == [
+            1.0, 0.0, 0.0]
+        got = binom_cdfs([(10, 0.3, k, None) for k in range(11)])
+        for k, term in enumerate(got):
+            assert abs(term - binom_pmf_exact(10, 0.3, k)) <= 1e-14 * term
 
     @pytest.mark.parametrize("n", [2, 3, 50, 499, 5000])
     def test_shorter_rows_of_the_zero_rate_branch(self, n):
@@ -303,14 +315,18 @@ class TestBinomCdfs:
             specs.append((n, p, j, bool(rng.integers(2))))
         for start in range(0, len(specs), 8):
             chunk = specs[start:start + 8]
-            assert binom_cdfs(chunk) == _one_at_a_time(chunk)
+            for mixed in (chunk, chunk + [(n, p, j, None) for n, p, j, _ in chunk]):
+                assert binom_cdfs(mixed) == _one_at_a_time(mixed)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             binom_cdfs([(10, 0.3, 4, False), (10, 1.0, 4, True)])
 
 
-NOT_INTEGERS = [5.0, 5.5, "7", None]
+NOT_INTEGERS = [5.0, 5.5, "7", None, math.inf]
+
+SEQ = SequenceCoeffs(alpha=0.1, beta=0.0, gamma=0.0, delta=0.0, epsilon=0.0,
+                     a=0.2, b_n=lambda n: 0.0, c=0.0, d=0.0, e=0.0)
 
 # each entry point with one integer argument left open, valid elsewhere
 INTEGER_ARGS = {
@@ -324,6 +340,9 @@ INTEGER_ARGS = {
     "binom_cdf_complement j": lambda x: binom_cdf_complement(10, 0.3, x),
     "binom_cdfs n": lambda x: binom_cdfs([(10, 0.3, 4, False), (x, 0.3, 2, True)]),
     "binom_cdfs j": lambda x: binom_cdfs([(10, 0.3, 4, False), (10, 0.3, x, True)]),
+    "cdf_expansion n": lambda x: cdf_expansion(x, 0.5, 3),
+    "cdf_expansion j": lambda x: cdf_expansion(10, 0.5, x),
+    "complementary_expansion n": lambda x: complementary_expansion(SEQ, x),
 }
 
 
