@@ -73,7 +73,6 @@ class PriceExpansion:
     c0: float
     c1: float
     c2_at: Callable[[int], float]
-    side: Side
 
 
 def kappa_n(market: MarketState, n: int, side: Side) -> float:
@@ -127,9 +126,7 @@ def expansion_coeffs(market: MarketState, side: Side) -> PriceExpansion:
     def c2_at(n: int) -> float:
         return a + b * kappa_n(market, n, side)
 
-    return PriceExpansion(
-        c0=price_from_terms(market, side, terms), c1=c1, c2_at=c2_at, side=side,
-    )
+    return PriceExpansion(c0=price_from_terms(market, side, terms), c1=c1, c2_at=c2_at)
 
 
 def expansion_price(exp: PriceExpansion, n: int) -> float:

@@ -58,7 +58,7 @@ class CdfExpansion:
 
     y is the standardized argument (j - np + 1/2)/sqrt(V), v is the
     variance V = npq, phi_term is Phi(y), and p1..p4 are the values of
-    the four correction polynomials at y.
+    the four correction polynomials at y; value is truncated(4).
     """
 
     y: float
@@ -68,19 +68,24 @@ class CdfExpansion:
     p2: float
     p3: float
     p4: float
-    value: float
+
+    @property
+    def value(self) -> float:
+        return self.truncated(4)
 
     def truncated(self, terms: int) -> float:
-        """Approximation keeping only P1..P_terms, 0 <= terms <= 4.
+        """Approximation keeping only P1..P_terms, 0 <= terms <= 4, with the
+        terms P_i / V^{i/2} summed from left to right.
 
-        truncated(2) is the older O(n^-2) approximation; truncated(4)
-        equals value.
+        truncated(2) is the older O(n^-2) approximation.
         """
         if not 0 <= terms <= 4:
             raise DomainError(f"terms must be in [0, 4], got {terms}")
+        v, sqrt_v = self.v, math.sqrt(self.v)
         corr = 0.0
-        for i, poly in enumerate((self.p1, self.p2, self.p3, self.p4)[:terms]):
-            corr += poly / self.v ** ((i + 1) / 2.0)
+        for term in (self.p1 / sqrt_v, self.p2 / v, self.p3 / (v * sqrt_v),
+                     self.p4 / (v * v))[:terms]:
+            corr += term
         return self.phi_term + std_normal_pdf(self.y) * corr
 
 
@@ -114,14 +119,7 @@ def cdf_expansion(n: int, p: float, j: int) -> CdfExpansion:
         + pq * pq * (135.0 + (-1035.0 + (7947.0 + (-4167.0 + (560.0 - 20.0 * y2)
                               * y2) * y2) * y2) * y2) / 38880.0
     )
-    phi_term = std_normal_cdf(y)
-    sqrt_v = math.sqrt(v)
-    value = phi_term + std_normal_pdf(y) * (
-        p1 / sqrt_v + p2 / v + p3 / (v * sqrt_v) + p4 / (v * v)
-    )
-    return CdfExpansion(
-        y=y, v=v, phi_term=phi_term, p1=p1, p2=p2, p3=p3, p4=p4, value=value,
-    )
+    return CdfExpansion(y=y, v=v, phi_term=std_normal_cdf(y), p1=p1, p2=p2, p3=p3, p4=p4)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import Literal, NamedTuple, get_args
 
 from .asymptotics import expansion_coeffs, expansion_price, residual_scan
 from .binom_expansion import cdf_expansion
@@ -115,8 +115,7 @@ class RunConfig:
             )
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One convergence-table row: price, residuals, and their limits.
 
     scaled1 = (price_n - price_bs) sqrt(n) sits next to its limit
@@ -142,12 +141,9 @@ def cmd_price(config: RunConfig) -> list[tuple[int, float]]:
     if config.method == "expansion":
         exp = expansion_coeffs(market, side)
         return [(n, expansion_price(exp, n)) for n in config.n_values]
-    per_n: Callable[[int], float] = {
-        "closed": lambda n: price_closed(market, n, side),
-        "reduced": lambda n: price_closed_reduced(market, n, side),
-        "tree": lambda n: price_backward_induction(market, n, side),
-    }[config.method]
-    return [(n, per_n(n)) for n in config.n_values]
+    pricer = {"closed": price_closed, "reduced": price_closed_reduced,
+              "tree": price_backward_induction}[config.method]
+    return [(n, pricer(market, n, side)) for n in config.n_values]
 
 
 def cmd_table(table_id: TableId) -> list[TableRow]:
@@ -156,16 +152,14 @@ def cmd_table(table_id: TableId) -> list[TableRow]:
         raise DomainError(f"table_id must be one of T1..T4, got {table_id!r}")
     market, side = TABLE_MARKETS[table_id]
     exp = expansion_coeffs(market, side)
-    return [
-        TableRow(n=n, price_n=price_n, price_bs=price_bs, scaled1=scaled1,
-                 coeff1=exp.c1, scaled2=scaled2, coeff2=exp.c2_at(n))
-        for n, price_n, price_bs, scaled1, scaled2
-        in residual_scan(market, side, TABLE_N_VALUES, exp)
-    ]
+    return [TableRow(n, price_n, price_bs, scaled1, exp.c1, scaled2, exp.c2_at(n))
+            for n, price_n, price_bs, scaled1, scaled2
+            in residual_scan(market, side, TABLE_N_VALUES, exp)]
 
 
 def cmd_figure5(n_max: int) -> list[tuple[int, float, float]]:
     """(n, price_n, price_bs) for n = 2..n_max on the T1 market."""
+    n_max = as_index(n_max, "n_max")
     if not 2 <= n_max <= TREE_MAX_N:
         raise DomainError(f"n_max must be in [2, {TREE_MAX_N}], got {n_max}")
     market, side = TABLE_MARKETS["T1"]
@@ -185,6 +179,9 @@ def cmd_cdf_bench(
     either a ratio (j = floor(ratio * n)) or "median" (j = (n - 1)//2).
     err_scaled = err * n^{5/2}.
     """
+    n_list = [as_index(n, "n") for n in n_list]
+    if not n_list:
+        raise DomainError("n_list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError(f"n_list must be strictly increasing, got {tuple(n_list)}")
     if any(n < 2 for n in n_list):
@@ -282,7 +279,7 @@ def _j_rule_arg(text: str) -> float | Literal["median"]:
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=get_args(OutputFormat), default="csv")
     sub.add_argument("--out", default=None, metavar="PATH")
 
 
@@ -293,7 +290,7 @@ def _add_market_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sigma", type=float, required=True)
     sub.add_argument("--rate", type=float, required=True)
     sub.add_argument("--tau", type=float, required=True)
-    sub.add_argument("--side", choices=("call", "put"), required=True)
+    sub.add_argument("--side", choices=get_args(Side), required=True)
 
 
 @functools.cache
@@ -309,13 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_market_flags(price)
     price.add_argument("--n", type=_n_values_arg, required=True,
                        metavar="LIST", help="comma list or a..b range")
-    price.add_argument("--method",
-                       choices=("closed", "reduced", "tree", "expansion", "bs"),
-                       default="reduced")
+    price.add_argument("--method", choices=get_args(Method), default="reduced")
     _add_output_flags(price)
 
     table = commands.add_parser("table", help="reproduce one convergence table")
-    table.add_argument("--table", choices=("T1", "T2", "T3", "T4"), required=True)
+    table.add_argument("--table", choices=get_args(TableId), required=True)
     _add_output_flags(table)
 
     figure5 = commands.add_parser("figure5", help="fine-structure price scan")
@@ -343,25 +338,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                                  sigma=args.sigma, rate=args.rate, tau=args.tau)
             config = RunConfig(market=market, side=args.side, n_values=args.n,
                                method=args.method)
-            _emit("lookback.price.v1", ("n", "price"), cmd_price(config),
-                  args.format, args.out)
+            schema, header, rows = "lookback.price.v1", ("n", "price"), cmd_price(config)
         elif args.command == "table":
-            rows = [
-                (r.n, r.price_n, r.price_bs, r.scaled1, r.coeff1, r.scaled2, r.coeff2)
-                for r in cmd_table(args.table)
-            ]
-            _emit("lookback.table.v1",
-                  ("n", "price_n", "price_bs", "scaled1", "coeff1", "scaled2",
-                   "coeff2"),
-                  rows, args.format, args.out)
+            schema, header, rows = "lookback.table.v1", TableRow._fields, cmd_table(args.table)
         elif args.command == "figure5":
-            _emit("lookback.figure5.v1", ("n", "price_n", "price_bs"),
-                  cmd_figure5(args.n_max), args.format, args.out)
+            schema, header = "lookback.figure5.v1", ("n", "price_n", "price_bs")
+            rows = cmd_figure5(args.n_max)
         else:
+            schema = "lookback.cdf_bench.v1"
+            header = ("n", "exact", "expansion", "err", "err_scaled")
             rows = cmd_cdf_bench(args.n, (args.p_base, args.p_drift), args.j_rule)
-            _emit("lookback.cdf_bench.v1",
-                  ("n", "exact", "expansion", "err", "err_scaled"),
-                  rows, args.format, args.out)
+        _emit(schema, header, rows, args.format, args.out)
     except BudgetError as exc:
         _print_error(exc)
         return 3

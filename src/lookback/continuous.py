@@ -37,7 +37,7 @@ from .numerics import (
     GL_MAX_SPREAD, _log_std_normal_cdf, expm1_ratio, gl_mean, std_normal_cdf, std_normal_pdf,
 )
 
-__all__ = ["DValues", "BsTerms", "d_values", "bs_terms", "bs_price", "price_from_terms"]
+__all__ = ["DValues", "BsTerms", "d_values", "bs_terms", "bs_price"]
 
 
 @dataclass(frozen=True)

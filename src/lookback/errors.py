@@ -2,10 +2,12 @@
 
 Three failure families map onto the CLI exit discipline: invalid inputs
 and unusable model parameters exit with status 2, exceeded work budgets
-(enumeration size, tree size, the CLI's period caps) exit with status 3.
+(tree size, the CLI's period caps) exit with status 3.
 """
 
 from __future__ import annotations
+
+__all__ = ["LookbackError", "DomainError", "ModelError", "BudgetError"]
 
 
 class LookbackError(Exception):
@@ -22,4 +24,4 @@ class ModelError(LookbackError, ValueError):
 
 
 class BudgetError(LookbackError, RuntimeError):
-    """A work cap was exceeded (enumeration size, tree size, period cap)."""
+    """A work cap was exceeded (tree size, period cap)."""

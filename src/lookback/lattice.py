@@ -57,6 +57,7 @@ __all__ = [
     "MarketState",
     "TreeParams",
     "PathCount",
+    "TREE_MAX_N",
     "tree_params",
     "path_count",
     "iter_path_counts",

@@ -357,4 +357,4 @@ def expansion_coeffs_at_emission(
         base = spot * sigma**2 * tau / 12.0
         c2 = (bracket_sign * base * ((theta1 + 2.0) * b1 + (theta2 + 2.0) * b3)
               + spot * 0.5 * b4)
-    return PriceExpansion(c0=bs_price(market, side), c1=c1, c2_at=lambda n: c2, side=side)
+    return PriceExpansion(c0=bs_price(market, side), c1=c1, c2_at=lambda n: c2)

@@ -104,9 +104,6 @@ class TestExpansionCoeffs:
         for n, printed in zip(TABLE_GRID, printed_row):
             assert abs(coeffs.c2_at(n) - printed) <= 5e-5, f"n={n}"
 
-    def test_side_tag(self):
-        assert expansion_coeffs(T3, "put").side == "put"
-
     def test_finite_where_b4_power_overflows(self):
         """(S/M)^{(1 - 2r/sigma^2)/2} alone overflows on this low-volatility
         put; its product with e^{-(d1^2 + d4^2)/4} does not."""

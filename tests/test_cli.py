@@ -235,11 +235,17 @@ class TestMainOutput:
         assert lines[1] == "n,price"
         assert [int(line.split(",")[0]) for line in lines[2:]] == [2, 3, 4, 5]
 
-    def test_json_validates_against_shipped_schema(self, tmp_path):
+    @pytest.mark.parametrize("args,schema_id,n_values", [
+        (PRICE_ARGS + ["--n", "100,200"], "lookback.price.v1", [100, 200]),
+        (["table", "--table", "T3"], "lookback.table.v1", list(TABLE_N_VALUES)),
+        (["figure5", "--n-max", "4"], "lookback.figure5.v1", [2, 3, 4]),
+        (["cdf-bench", "--n", "200,400", "--p-drift", "0.1"], "lookback.cdf_bench.v1",
+         [200, 400]),
+    ], ids=["price", "table", "figure5", "cdf-bench"])
+    def test_json_validates_against_shipped_schema(self, tmp_path, args, schema_id,
+                                                   n_values):
         out = tmp_path / "rows.json"
-        code = main(PRICE_ARGS + ["--n", "100,200", "--format", "json",
-                                  "--out", str(out)])
-        assert code == 0
+        assert main(args + ["--format", "json", "--out", str(out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         import importlib.resources as resources
 
@@ -247,10 +253,11 @@ class TestMainOutput:
             resources.files("lookback") / "schemas" / "cli_output.schema.json"
         ).read_text(encoding="utf-8")
         jsonschema.validate(payload, json.loads(schema_text))
-        assert payload["schema"] == "lookback.price.v1"
-        assert [row["n"] for row in payload["rows"]] == [100, 200]
-        (_, want), = cmd_price(_config(n_values=(100,)))
-        assert abs(payload["rows"][0]["price"] - want) <= 1e-8
+        assert payload["schema"] == schema_id
+        assert [row["n"] for row in payload["rows"]] == n_values
+        if schema_id == "lookback.price.v1":
+            (_, want), = cmd_price(_config(n_values=(100,)))
+            assert abs(payload["rows"][0]["price"] - want) <= 1e-8
 
     def test_runs_are_deterministic(self, tmp_path):
         paths = []
@@ -359,6 +366,7 @@ class TestMainErrors:
         ["--n", "10,20", "--j-rule", "inf"],
         ["--n", "10,20", "--j-rule=-inf"],
         ["--n", "0,5"],
+        ["--n", "5..3"],
     ])
     def test_cdf_bench_outside_domain_exits_2(self, capsys, args):
         assert main(["cdf-bench", *args]) == 2

@@ -40,6 +40,21 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
+def test_module_exports_are_disjoint_and_reexported():
+    """The package root star-imports each module's ``__all__``; a name listed
+    by two modules would silently resolve to whichever was imported last."""
+    from lookback import (asymptotics, binom_expansion, continuous, errors,
+                          lattice, numerics)
+
+    modules = (asymptotics, binom_expansion, continuous, errors, lattice, numerics)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(lookback, name) is getattr(module, name), name
+    assert sorted(lookback.__all__) == sorted(["__version__", *names])
+
+
 def test_perfbench_bindings_resolve():
     """Every function the benchmark's tracer wraps is still bound where it
     looks it up; a missing name would only fail a traced run."""

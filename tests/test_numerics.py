@@ -22,6 +22,7 @@ from lookback import (
 )
 from lookback import numerics
 from lookback.binom_expansion import SequenceCoeffs, cdf_expansion, complementary_expansion
+from lookback.cli import cmd_cdf_bench, cmd_figure5
 from lookback.errors import DomainError
 
 from .oracles import (
@@ -343,6 +344,8 @@ INTEGER_ARGS = {
     "cdf_expansion n": lambda x: cdf_expansion(x, 0.5, 3),
     "cdf_expansion j": lambda x: cdf_expansion(10, 0.5, x),
     "complementary_expansion n": lambda x: complementary_expansion(SEQ, x),
+    "cmd_figure5 n_max": cmd_figure5,
+    "cmd_cdf_bench n": lambda x: cmd_cdf_bench([x], (0.5, 0.1), 0.55),
 }
 
 
