@@ -49,6 +49,7 @@ from .continuous import BsTerms, DValues, bs_terms, d_values, price_from_terms
 from .continuous import bs_price  # noqa: F401
 from .errors import DomainError, ModelError
 from .lattice import MarketState, Side, price_closed_reduced, tree_params
+from .numerics import as_index
 
 __all__ = [
     "PriceExpansion",
@@ -131,6 +132,7 @@ def expansion_coeffs(market: MarketState, side: Side) -> PriceExpansion:
 
 def expansion_price(exp: PriceExpansion, n: int) -> float:
     """c0 + c1/sqrt(n) + c2_at(n)/n."""
+    n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return exp.c0 + exp.c1 / math.sqrt(n) + exp.c2_at(n) / n

@@ -2,7 +2,8 @@
 
 Three failure families map onto the CLI exit discipline: invalid inputs
 and unusable model parameters exit with status 2, exceeded work budgets
-(tree size, the CLI's period caps) exit with status 3.
+(tree size, the CLI's period caps, the binomial CDFs' largest n) exit
+with status 3.
 """
 
 from __future__ import annotations
@@ -24,4 +25,4 @@ class ModelError(LookbackError, ValueError):
 
 
 class BudgetError(LookbackError, RuntimeError):
-    """A work cap was exceeded (tree size, period cap)."""
+    """A work cap was exceeded (tree size, period cap, ``CDF_MAX_N``)."""

@@ -21,24 +21,38 @@ Every pmf the package evaluates comes from the one kernel
 its fixed numpy cost (0.1 to 0.2 ms on a 2-CPU x86 VM); many terms go to
 ``binom_cdfs`` together.
 
-The binomial CDFs sum O(sqrt(n)) of these terms, not O(n).  A sum starts
-at its inner end, or at the edge of the bulk window
-[np - 12 sd - 10, np + 12 sd + 10] if that end lies beyond it, and walks
-toward its tail until a geometric bound puts everything left below
-2^-60 of the partial sum.  Clipping both ends to the window would not
-do: just inside its edge a sum that is all tail loses relative accuracy
-(10% at n = 3000, p = 1/2, j = 1165).
+The binomial CDFs sum O(sqrt(n)) of these terms, not O(n).  Each sum
+walks away from the mean n p on its short side.  A lower sum P(X <= j)
+with j below the mean walks down from j, and an upper sum P(X > j)
+with j + 1 above it walks up from j + 1.  A sum that holds the bulk
+(a lower sum with j at or above the mean, an upper sum with j + 1 at
+or below it) is one minus the other sum, which walks from j + 1 up or
+from j down.  The binomial median is floor(np) or ceil(np), so that
+other sum is at most about 1/2, and forming 1 - T rounds once, by at
+most an ulp.  A walk stops once a geometric bound puts everything left
+below 2^-60 of its partial sum.
 
-The walk goes in chunks of half the window, and at n <= 5000 most sums
-end after their first chunk.  A vectorised pmf call of a few hundred
-terms is mostly fixed numpy cost, so ``binom_cdfs`` walks its CDFs in
-rounds: each round evaluates the next chunk of every sum still going
-in shared calls, with the (n, p) constants of the kernel repeated per
-entry.  A call holds at most 4,096 entries: one merged call over
-7 x 6,000 entries takes 3.1 ms against 1.7 ms for seven separate calls
-(2-CPU x86 VM, n = 1e6), as its temporaries spill out of L2.  Each sum
-still adds the same terms, so the packed and one-at-a-time results are
-the same bit for bit.
+A walk's first chunk is sized from where it starts: to the index at
+which the pmf has fallen 2^-60 below its first term, judged from the
+log pmf's slope at both ends of the chunk (``_first_chunk``).  For a
+start z sd past the mean that is about (sqrt(z^2 + 120 log 2) - z) sd
+terms: 9.1 sd at the mean, 2.0 sd at z = 20.  Every walk of 2,222
+random sums (n from 10 to 1e6, p from 1e-3 to 0.999, j within 30 sd),
+of 3,588 sums at n p from 1 to 50, and of a grid of 51,700 sums at n
+from 1 to 1e8 ended in its first chunk.  A walk that does not goes on
+in chunks of ceil(12 sd + 10) terms, which also cap the first.
+
+A vectorised pmf call of a few hundred terms is mostly fixed numpy
+cost, so ``binom_cdfs`` walks its CDFs in rounds: each round evaluates
+the next chunk of every sum still going in shared calls, with the
+(n, p) constants of the kernel repeated per entry.  A call holds at
+most 4,096 entries: one merged call over 7 x 6,000 entries takes 3.1 ms
+against 1.7 ms for seven separate calls (2-CPU x86 VM, n = 1e6), as its
+temporaries spill out of L2.  Each sum still adds the same terms, so
+the packed and one-at-a-time results are the same bit for bit.
+
+The pmf and the CDFs take n up to ``CDF_MAX_N`` = 1e9 and raise
+``BudgetError`` above it.
 
 Divided differences.  Both closed forms carry a difference quotient
 (F(b) - F(a)) / (b - a) whose interval shrinks with the rate: two
@@ -57,7 +71,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 __all__ = [
     "std_normal_cdf",
@@ -67,16 +81,29 @@ __all__ = [
     "binom_cdf_exact",
     "binom_cdf_complement",
     "binom_cdfs",
+    "CDF_MAX_N",
 ]
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# CDF kernel: the bulk window's half-width in standard deviations plus a
-# pad, and the relative size below which a tail is left unsummed.
-_WINDOW_SD = 12.0
-_WINDOW_PAD = 10.0
+# Largest n of the binomial pmf and CDFs: about where the reduced price's
+# own error starts to grow.  Against the second-order expansion the T1
+# reduced price is within 5.4e-14 at n = 1e8 and 4.7e-13 at 1e9, where it
+# takes 0.17 s (2-CPU x86 VM), and 5.5e-13 at 1e10, while the expansion's
+# remainder keeps falling.  At n = 1e20 a chunk's arrays no longer fit in
+# memory.
+CDF_MAX_N = 10**9
+
+# CDF walks: the most terms in one chunk, 12 sd + 10 (the pad covers the
+# Poisson-like tails of small n p (1 - p)); the relative size below which
+# a tail is left unsummed, and its log; the terms a first chunk holds past
+# the index its sizing gives.
+_CHUNK_SD = 12.0
+_CHUNK_PAD = 10.0
 _TAIL_REL = 2.0**-60
+_TAIL_LOG = 60.0 * math.log(2.0)
+_FIRST_CHUNK_PAD = 2
 
 # stirlerr(k) for k = 0..29, computed once in 50-digit arithmetic and frozen;
 # the series below is only reliable from k = 30 upward.
@@ -214,6 +241,8 @@ def as_index(value: object, name: str) -> int:
 def _check_binom_args(n: int, p: float) -> None:
     if as_index(n, "n") < 0:
         raise DomainError(f"n must be a natural number, got {n}")
+    if n > CDF_MAX_N:
+        raise BudgetError(f"the binomial pmf and CDFs are limited to n <= {CDF_MAX_N}, got {n}")
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie strictly inside (0, 1), got {p}")
 
@@ -331,10 +360,11 @@ def _log_pmf_inside(
 def binom_cdf_exact(n: int, p: float, j: int) -> float:
     """Bin_{n,p}(j) = sum_{k=0}^{min(j,n)} C(n,k) p^k (1-p)^{n-k}.
 
-    0 for j < 0 and 1 for j >= n.  The sum starts at j (at the bulk
-    window's upper edge if j lies above it) and walks down with the tail
-    rule of ``binom_cdfs``, so it costs O(sd) = O(sqrt(n)) pmf terms rather
-    than O(j), with relative error near 1e-15 in either tail.
+    0 for j < 0 and 1 for j >= n.  Below the mean the sum walks down
+    from j with the tail rule of ``binom_cdfs``; at or above it, it is one
+    minus the sum of ``binom_cdf_complement``.  Either way it costs
+    O(sd) = O(sqrt(n)) pmf terms rather than O(j), with relative error
+    near 1e-15 in either tail.
     """
     return binom_cdfs([(n, p, j, False)])[0]
 
@@ -343,9 +373,9 @@ def binom_cdf_complement(n: int, p: float, j: int) -> float:
     """sum_{k=j+1}^n C(n,k) p^k (1-p)^{n-k} = 1 - Bin_{n,p}(j), summed directly
     so the upper tail does not inherit cancellation from the lower sum.
 
-    The mirror of ``binom_cdf_exact``: the sum starts at j + 1 (at the bulk
-    window's lower edge if j + 1 lies below it) and walks up under the
-    same tail rule, O(sqrt(n)) pmf terms.
+    The mirror of ``binom_cdf_exact``: above the mean the sum walks up
+    from j + 1 under the same tail rule, and at or below it, it is one
+    minus the sum of ``binom_cdf_exact``; O(sqrt(n)) pmf terms.
     """
     return binom_cdfs([(n, p, j, True)])[0]
 
@@ -357,22 +387,23 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
     ``binom_pmf`` (0.0 outside 0..n) if None; those three are one-spec
     calls of this function.
 
-    Each sum for 0 <= j < n is a walk over pmf(n, p, k): from j down, or
-    from j + 1 up, but from the edge of the bulk window
-    [np - 12 sd - 10, np + 12 sd + 10] if that start lies beyond it.
-    The pad covers small n p (1 - p), where the tails are Poisson-like;
-    for n up to 1e5 and p from 1e-6 to 1 - 1e-4 the mass outside the
-    window is at most 6e-25, far under half an ulp of a sum that holds
-    it.  The walk goes in chunks of half the window, ceil(12 sd + 10)
-    terms clipped to the support, and stops after a chunk whose last
-    index a leaves a tail that cannot reach 2^-60 of the partial sum.
-    The step ratio r_k = pmf(k + step) / pmf(k) is k (1-p) / ((n-k+1) p)
-    going down and (n-k) p / ((k+1) (1-p)) going up.  The first grows
-    with k and the second shrinks, so along either walk r_k never
-    increases: once r_a < 1 the unsummed tail is at most the geometric
-    series t_a (r_a + r_a^2 + ...) = t_a r_a / (1 - r_a).  A walk also
-    stops when its range runs out: a sum's at the end of the support,
-    where r_a = 0 would stop it too, and a single term's after one term.
+    Each sum for 0 <= j < n is a walk over pmf(n, p, k) away from the
+    mean n p: from j down for a lower sum with j < n p, from j + 1 up for
+    an upper sum with j + 1 > n p.  A sum on the other side holds the
+    bulk and is returned as 1 - T, with T the opposite sum at the same j
+    walked as above; T is at most about 1/2, since the median is
+    floor(np) or ceil(np).  The walk's first chunk holds
+    ``_first_chunk`` terms, and each later one ceil(12 sd + 10), clipped
+    to the support.  It stops after a chunk whose last index a leaves a
+    tail that cannot reach 2^-60 of the partial sum.  The step ratio
+    r_k = pmf(k + step) / pmf(k) is k (1-p) / ((n-k+1) p) going down and
+    (n-k) p / ((k+1) (1-p)) going up.  The first grows with k and the
+    second shrinks, so along either walk r_k never increases, and it is
+    below 1 from the start, past the mean: the unsummed tail is at most
+    the geometric series t_a (r_a + r_a^2 + ...) = t_a r_a / (1 - r_a).
+    A walk also stops when its range runs out: a sum's at the end of the
+    support, where r_a = 0 would stop it too, and a single term's after
+    one term.
 
     The walks go in rounds.  Each round evaluates the next chunk of every
     walk still going, in spec order, in packed kernel calls of at most
@@ -384,10 +415,11 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
     not depend on the other specs.
     """
     out = []
-    walks = []  # (slot in out, n, p, next chunk, indices after it, partial sum, chunks)
+    walks = []  # (slot in out, n, p, next chunk, indices after it, terms so far, flipped)
     for n, p, j, upper in specs:
         _check_binom_args(n, p)
         j = as_index(j, "j")
+        flip = False
         if upper is None:
             if not 0 <= j <= n:
                 out.append(0.0)
@@ -397,36 +429,81 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
             out.append(1.0 if (j < 0) == upper else 0.0)
             continue
         else:
-            half = _WINDOW_SD * math.sqrt(n * p * (1.0 - p)) + _WINDOW_PAD
-            if upper:
-                walk = range(max(j + 1, math.floor(n * p - half)), n + 1)
-            else:
-                walk = range(min(j, math.ceil(n * p + half)), -1, -1)
-            size = math.ceil(half)
-        walks.append((len(out), n, p, walk[:size], walk[size:], 0.0, []))
+            # a sum that holds the bulk is one minus the sum on its short side
+            flip = j + 1 <= n * p if upper else j >= n * p
+            walk = range(j + 1, n + 1) if upper != flip else range(j, -1, -1)
+            size = _first_chunk(n, p, walk)
+        walks.append((len(out), n, p, walk[:size], walk[size:], [], flip))
         out.append(math.nan)
     while walks:
         going = []
         for pack in _packs(walks):
-            for (slot, n, p, chunk, rest, partial, chunks), terms in zip(pack, _chunk_terms(pack)):
-                chunks.append(terms)
-                partial += float(terms.sum())
-                a = chunk[-1]
-                if chunk.step < 0:
-                    ratio = a * (1.0 - p) / ((n - a + 1) * p)
-                else:
-                    ratio = (n - a) * p / ((a + 1) * (1.0 - p))
+            for walk, terms in zip(pack, _chunk_terms(pack)):
+                slot, n, p, chunk, rest, summed, flip = walk
+                summed += terms.tolist()
+                partial = math.fsum(summed)
+                ratio = _step_ratio(n, p, chunk[-1], chunk.step)
                 if not rest or (ratio < 1.0 and
-                                terms[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
-                    out[slot] = min(math.fsum(np.concatenate(chunks).tolist()), 1.0)
-                    # free this walk's arrays now, not at the round's end: the
-                    # next call reuses warm memory (15% faster at n = 1e6)
-                    chunks.clear()
+                                summed[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
+                    out[slot] = 1.0 - partial if flip else min(partial, 1.0)
                 else:
-                    size = len(chunk)
-                    going.append((slot, n, p, rest[:size], rest[size:], partial, chunks))
+                    size = _chunk_cap(n, p)
+                    going.append((slot, n, p, rest[:size], rest[size:], summed, flip))
         walks = going
     return out
+
+
+def _step_ratio(n: int, p: float, k: int, step: int) -> float:
+    """pmf(n, p, k + step) / pmf(n, p, k) for step +1 or -1."""
+    if step < 0:
+        return k * (1.0 - p) / ((n - k + 1) * p)
+    return (n - k) * p / ((k + 1) * (1.0 - p))
+
+
+def _chunk_cap(n: int, p: float) -> int:
+    """Terms in a walk's later chunks, and the most in its first:
+    ceil(12 sd + 10)."""
+    return math.ceil(_CHUNK_SD * math.sqrt(n * p * (1.0 - p)) + _CHUNK_PAD)
+
+
+def _first_chunk(n: int, p: float, walk: range) -> int:
+    """Terms in the first chunk of a walk, from the slope and curvature of
+    the log pmf where it starts, checked against the slope where the
+    chunk ends.
+
+    Along the walk from a, the log pmf falls by D(m) after m steps.  Its
+    slope lam(m) = -log r_{a + m step} grows with m (the step ratios
+    shrink), from lam = lam(0) at a rate of about
+    kap = (n + 1) / ((a + 1) (n - a + 1)).  The chunk is the m at which
+    D reaches L = 60 log 2.  The parabola lam m + kap m^2 / 2 gives
+    m = 2 L / (lam + sqrt(lam^2 + 2 kap L)); in z sd past the mean lam is
+    about z / sd and kap about 1 / sd^2, so m is about
+    (sqrt(z^2 + 2 L) - z) sd.  Where the slope's growth slows, as in a
+    Poisson-like tail at small n p, the parabola overstates the fall;
+    the trapezoid m (lam + lam(m)) / 2 then understates it, and the
+    chunk is lengthened at slope lam(m) until that reaches L.  The
+    stopping rule also weighs the partial sum and the factor
+    (1 - r) / r, which move the stop by a term or so; a pad of two terms
+    covers them.  With a pad of one, 8 of the 51,700 grid sums of the
+    module docstring needed a second round; with two, none did.
+    """
+    a = walk[0]
+    lam = _log_drop(n, p, a, walk.step)
+    kap = (n + 1) / ((a + 1) * (n - a + 1))
+    m = 2.0 * _TAIL_LOG / (lam + math.sqrt(lam * lam + 2.0 * kap * _TAIL_LOG))
+    end = math.ceil(m)
+    if 0 < end < len(walk):
+        lam_end = _log_drop(n, p, walk[end], walk.step)
+        short = _TAIL_LOG - m * (lam + lam_end) / 2.0
+        if short > 0.0:
+            m += short / lam_end
+    return min(math.ceil(m) + _FIRST_CHUNK_PAD, _chunk_cap(n, p))
+
+
+def _log_drop(n: int, p: float, k: int, step: int) -> float:
+    """-log of the step ratio at k; inf where the next term is 0."""
+    ratio = _step_ratio(n, p, k, step)
+    return -math.log(ratio) if ratio > 0.0 else math.inf
 
 
 def _packs(walks: list[tuple]) -> list[list[tuple]]:
@@ -447,12 +524,15 @@ def _packs(walks: list[tuple]) -> list[list[tuple]]:
 def _chunk_terms(pack: list[tuple]) -> list[np.ndarray]:
     """pmf terms of each walk's next chunk, from one kernel call over the
     chunks laid end to end with their (n, p) constants repeated per entry.
-    A lone walk passes its constants as scalars, the kernel's cheaper form.
+    A lone walk passes its index range and constants as they are, the
+    kernel's cheaper form.
     """
-    widths = [len(chunk) for _, _, _, chunk, *_ in pack]
-    ks = np.concatenate([np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
-                         for _, _, _, chunk, *_ in pack])
+    ks = [np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
+          for _, _, _, chunk, *_ in pack]
     consts = [_pmf_consts(n, p) for _, n, p, *_ in pack]
-    per_entry = consts[0] if len(pack) == 1 else np.repeat(np.array(consts).T, widths, axis=1)
-    terms = np.exp(_binom_pmf_log_vec(ks, per_entry))
+    if len(pack) == 1:
+        return [np.exp(_binom_pmf_log_vec(ks[0], consts[0]))]
+    widths = [len(k) for k in ks]
+    per_entry = np.repeat(np.array(consts).T, widths, axis=1)
+    terms = np.exp(_binom_pmf_log_vec(np.concatenate(ks), per_entry))
     return [terms[end - width:end] for end, width in zip(itertools.accumulate(widths), widths)]

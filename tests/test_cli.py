@@ -380,6 +380,16 @@ class TestMainErrors:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "BudgetError"
 
+    @pytest.mark.parametrize("args", [
+        PRICE_ARGS + ["--n", "100000000000000000000", "--method", "reduced"],
+        ["cdf-bench", "--n", "1000000000000000000000"],
+    ])
+    def test_n_above_the_cdf_cap_exits_3(self, capsys, args):
+        assert main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == "BudgetError"
+
     def test_malformed_n_list_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(PRICE_ARGS + ["--n", "abc"])

@@ -12,18 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lookback import (
+    MarketState,
     binom_cdf_complement,
     binom_cdf_exact,
     binom_cdfs,
     binom_pmf,
     binom_pmf_log,
+    expansion_coeffs,
+    expansion_price,
     std_normal_cdf,
     std_normal_pdf,
 )
 from lookback import numerics
 from lookback.binom_expansion import SequenceCoeffs, cdf_expansion, complementary_expansion
 from lookback.cli import cmd_cdf_bench, cmd_figure5
-from lookback.errors import DomainError
+from lookback.errors import BudgetError, DomainError
 
 from .oracles import (
     binom_cdf_lower_exact,
@@ -170,10 +173,9 @@ class TestBinomCdf:
         assert abs(binom_cdf_exact(20, 0.3, 6) - ref) <= 1e-14
 
     # The n = 3000 rows put j 11.8 to 12.2 sd and 20 sd from np: in the tail
-    # the function sums, where the bulk window [np - 12 sd - 10,
-    # np + 12 sd + 10] ends, and beyond the window on the bulk side.  The
-    # upper rows mirror the lower ones (j -> n - 1 - j, p -> 1 - p).  Dyadic
-    # p keeps the rational oracle fast.
+    # the function walks, and on the bulk side, where it is one minus the
+    # opposite tail.  The upper rows mirror the lower ones (j -> n - 1 - j,
+    # p -> 1 - p).  Dyadic p keeps the rational oracle fast.
     @pytest.mark.parametrize("n,p,j", [
         (50, 0.37, 11), (120, 0.81, 101), (400, 0.5, 173),
         (3000, 0.5, 1165), (3000, 0.25, 470), (3000, 0.375, 807),
@@ -290,21 +292,30 @@ class TestBinomCdfs:
         assert len(packed) >= 2 and max(packed) <= numerics._PACK_MAX
         assert got == _one_at_a_time(specs)
 
-    def test_walk_goes_on_past_its_first_chunk(self, kernel_calls):
-        # the upper sum from far below the mean starts at the window's
-        # lower edge and needs more than the first half window
-        specs = [(1000, 0.5, 100, True), (1000, 0.5, 520, False), (999, 0.4, 380, True)]
+    # The sized first chunk ends every sum these tests meet, so to reach a
+    # later round they cut it to 16 terms; sums of two or three terms end
+    # there anyway, as their range runs out.
+    def test_walk_goes_on_past_its_first_chunk(self, kernel_calls, monkeypatch):
+        monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 16)
+        specs = [(1000, 0.5, 400, False), (10, 0.5, 1, False), (999, 0.4, 997, True)]
         got = binom_cdfs(specs)
-        assert [is_packed for _, is_packed in kernel_calls] == [True, False]
+        assert kernel_calls == [(20, True), (200, False)]
         assert got == _one_at_a_time(specs)
 
-    def test_later_rounds_pack_the_walks_still_going(self, kernel_calls):
-        # both upper sums from far below the mean go on past their first
-        # chunk, and their second chunks share the second round's call
-        specs = [(1000, 0.5, 100, True), (999, 0.4, 80, True), (1000, 0.5, 520, False)]
+    def test_later_rounds_pack_the_walks_still_going(self, kernel_calls, monkeypatch):
+        # both long sums go on past their first chunk, and their second
+        # chunks, of ceil(12 sd + 10) terms each, share the second round's call
+        monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 16)
+        specs = [(1000, 0.5, 400, False), (999, 0.4, 440, True), (10, 0.5, 1, False)]
         got = binom_cdfs(specs)
-        assert kernel_calls == [(596, True), (396, True)]
+        assert kernel_calls == [(34, True), (396, True)]
         assert got == _one_at_a_time(specs)
+
+    def test_upper_cdf_bench_row_takes_one_call(self, kernel_calls):
+        # j 20 sd above n p: the lower CDF is one minus the upper tail from
+        # j + 1, whose first chunk ends it
+        cmd_cdf_bench([1_000_000], (0.5, 0.0), 0.51)
+        assert len(kernel_calls) == 1
 
     def test_random_specs(self):
         rng = np.random.default_rng(7)
@@ -324,10 +335,84 @@ class TestBinomCdfs:
             binom_cdfs([(10, 0.3, 4, False), (10, 1.0, 4, True)])
 
 
+class TestBinomCdfsAgainstMpmath:
+    """Both sums at each j against 40-digit references, on both sides of
+    the mean where a sum that holds the bulk becomes one minus its short
+    side, and out to 30 sd.  Each tolerance is a round figure above the
+    largest error that walks summing every sum directly, from the bulk
+    window's edge, made on the same specs: 6.2e-15 across the flip,
+    7.2e-13 in the tails (n = 1e6, 30 sd out) and 3.8e-15 at n p = 10."""
+
+    @staticmethod
+    def _check(n, p, j, tol):
+        # the tail on j's side of the mean summed outward, the other side
+        # as one minus it
+        if j < n * p:
+            ref_lower = binom_tail_mp(n, p, j, lower=True)
+            ref_upper = 1 - ref_lower
+        else:
+            ref_upper = binom_tail_mp(n, p, j, lower=False)
+            ref_lower = 1 - ref_upper
+        lower, upper = binom_cdfs([(n, p, j, False), (n, p, j, True)])
+        for got, ref in ((lower, ref_lower), (upper, ref_upper)):
+            assert abs(got - ref) <= tol * ref, (n, p, j, got, float(ref))
+
+    @pytest.mark.parametrize("n,p", [
+        (10, 0.5), (10, 0.23), (1000, 0.5), (1000, 0.937), (100_000, 0.3),
+        (1_000_000, 0.5), (1_000_000, 0.0625),
+    ])
+    def test_both_sides_of_the_flip(self, n, p):
+        mean = n * p
+        for j in range(math.floor(mean) - 2, math.ceil(mean) + 3):
+            if 0 <= j < n:
+                self._check(n, p, j, 1e-14)
+
+    @pytest.mark.parametrize("n,p", [
+        (10, 0.5), (100, 0.3), (10_000, 0.5), (10_000, 0.85), (1_000_000, 0.3),
+    ])
+    def test_tails_to_30_sd(self, n, p):
+        mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+        for z in (-30.0, -20.0, -12.0, -5.0, -1.0, 1.0, 5.0, 12.0, 20.0, 30.0):
+            self._check(n, p, min(max(int(mean + z * sd), 0), n - 1), 1e-12)
+
+    @pytest.mark.parametrize("short_first_chunk", [False, True])
+    def test_poisson_like_tails(self, kernel_calls, monkeypatch, short_first_chunk):
+        # at n p = 10 the log pmf falls slower than a parabola above the
+        # mean; the sized first chunk still ends every sum, and a first
+        # chunk cut to 8 terms makes a second round run
+        if short_first_chunk:
+            monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 8)
+        rounds = []
+        for j in (0, 3, 9, 10, 11, 15, 30, 60):
+            kernel_calls.clear()
+            self._check(1_000_000, 1e-5, j, 1e-14)
+            rounds.append(len(kernel_calls))
+        assert max(rounds) == (2 if short_first_chunk else 1)
+
+
+class TestCdfMaxN:
+    def test_above_the_cap_is_refused(self):
+        n = numerics.CDF_MAX_N + 1
+        calls = [lambda: binom_cdfs([(n, 0.5, 3, False)]), lambda: binom_pmf(n, 0.5, 3),
+                 lambda: binom_pmf_log(n, 0.5, 3), lambda: binom_cdf_complement(10**20, 0.5, 3)]
+        for call in calls:
+            with pytest.raises(BudgetError):
+                call()
+
+    def test_at_the_cap(self):
+        # p = 1/2, n even: P(X <= n/2 - 1) = (1 - pmf(n/2)) / 2
+        n = numerics.CDF_MAX_N
+        half = (1.0 - binom_pmf(n, 0.5, n // 2)) / 2.0
+        assert abs(binom_cdf_exact(n, 0.5, n // 2 - 1) - half) <= 1e-13
+
+
 NOT_INTEGERS = [5.0, 5.5, "7", None, math.inf]
 
 SEQ = SequenceCoeffs(alpha=0.1, beta=0.0, gamma=0.0, delta=0.0, epsilon=0.0,
                      a=0.2, b_n=lambda n: 0.0, c=0.0, d=0.0, e=0.0)
+
+EXPANSION = expansion_coeffs(
+    MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27), "call")
 
 # each entry point with one integer argument left open, valid elsewhere
 INTEGER_ARGS = {
@@ -346,6 +431,7 @@ INTEGER_ARGS = {
     "complementary_expansion n": lambda x: complementary_expansion(SEQ, x),
     "cmd_figure5 n_max": cmd_figure5,
     "cmd_cdf_bench n": lambda x: cmd_cdf_bench([x], (0.5, 0.1), 0.55),
+    "expansion_price n": lambda x: expansion_price(EXPANSION, x),
 }
 
 
