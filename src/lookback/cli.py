@@ -57,7 +57,7 @@ from .lattice import (
     price_closed,
     price_closed_reduced,
 )
-from .numerics import as_index, binom_cdf_exact
+from .numerics import CDF_MAX_N, as_index, binom_cdf_exact
 
 __all__ = [
     "Method",
@@ -77,6 +77,9 @@ OutputFormat = Literal["csv", "json"]
 TableId = Literal["T1", "T2", "T3", "T4"]
 
 TABLE_N_VALUES = (1000, 5000, 10000, 50000, 100000)
+# Largest n of each grid that has a cap, checked before anything is priced.
+_GRID_CAPS = {"closed": TREE_MAX_N, "tree": TREE_MAX_N, "reduced": CDF_MAX_N,
+              "cdf-bench": CDF_MAX_N}
 TABLE_MARKETS: dict[str, tuple[MarketState, Side]] = {
     "T1": (MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27),
            "call"),
@@ -87,6 +90,24 @@ TABLE_MARKETS: dict[str, tuple[MarketState, Side]] = {
     "T4": (MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.0, tau=1.27),
            "put"),
 }
+
+
+def _check_grid(grid: Sequence[int], name: str, lowest: int, user: str) -> list[int]:
+    """grid as a list of ints.  DomainError unless it is nonempty, integer,
+    strictly increasing and at least ``lowest``; BudgetError if it runs
+    past the cap ``_GRID_CAPS`` sets for ``user``, a method or subcommand."""
+    grid = [as_index(n, "n") for n in grid]
+    if not grid:
+        raise DomainError(f"{name} must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError(f"{name} must be strictly increasing, got {tuple(grid)}")
+    if grid[0] < lowest:
+        raise DomainError(f"{name} must be >= {lowest}, got {grid[0]}")
+    cap = _GRID_CAPS.get(user, math.inf)
+    if grid[-1] > cap:
+        raise BudgetError(f"{name} for {user!r} is limited to n <= {cap}, got {grid[-1]}")
+    return grid
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,19 +121,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.method not in get_args(Method):
             raise DomainError(f"method must be one of {get_args(Method)}, got {self.method!r}")
-        if not self.n_values:
-            raise DomainError("n_values must be nonempty")
-        for n in self.n_values:
-            as_index(n, "n")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise DomainError(f"n_values must be strictly increasing, got {self.n_values}")
-        if self.n_values[0] < 1:
-            raise DomainError(f"n_values must be >= 1, got {self.n_values[0]}")
-        if self.method in ("tree", "closed") and self.n_values[-1] > TREE_MAX_N:
-            raise BudgetError(
-                f"method {self.method!r} is limited to n <= {TREE_MAX_N}, "
-                f"got {self.n_values[-1]}; use 'reduced' for large n"
-            )
+        _check_grid(self.n_values, "n_values", 1, self.method)
 
 
 class TableRow(NamedTuple):
@@ -179,13 +188,7 @@ def cmd_cdf_bench(
     either a ratio (j = floor(ratio * n)) or "median" (j = (n - 1)//2).
     err_scaled = err * n^{5/2}.
     """
-    n_list = [as_index(n, "n") for n in n_list]
-    if not n_list:
-        raise DomainError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError(f"n_list must be strictly increasing, got {tuple(n_list)}")
-    if any(n < 2 for n in n_list):
-        raise DomainError(f"n_list must be >= 2, got {tuple(n_list)}")
+    n_list = _check_grid(n_list, "n_list", 2, "cdf-bench")
     if j_spec != "median" and not math.isfinite(j_spec):
         raise DomainError(f"j ratio must be finite, got {j_spec}")
     base, drift = p_spec

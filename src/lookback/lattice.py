@@ -5,7 +5,7 @@ the underlying and its running extremum, so a single state per node
 suffices.  Valuation away from emission starts at the generally
 non-integer level
 
-    j0 = log(spot / extremum) / (sigma sqrt(tau/n))   (call; put swaps the ratio)
+    j0 = log(max(spot, extremum) / min(spot, extremum)) / (sigma sqrt(tau/n))
 
 and the level moves as j -> j+1 on an up step, j -> max(j-1, 0) on a down
 step.  Absorption at 0 happens where the running extremum is refreshed;
@@ -32,6 +32,13 @@ never reach the absorbing region, partial binomial C(n,k) - C(n,k+f+1)
 enough to have lost reflected twins, and the inner Cheuk-Vorst counts
 C(n,k-j) - C(n,k-j-1) for absorbed paths ending on integer levels.
 ``iter_path_counts`` writes the class ranges once; no pricer reads them.
+
+The lattice is symmetric under s -> -s, which takes q to 1 - q, p to
+1 - p, u to d and log(S/M)/s to log(M/S)/s.  A put is therefore the
+call on the lattice stepped by s = -sigma sqrt(tau/n): the call's
+payoff 1 - u^-j there is minus the put's u^j - 1.  ``tree_params`` is
+the one place that reads the side, for the sign of s, and every pricer
+evaluates only the call's arrangement and returns sign(s) times it.
 """
 
 from __future__ import annotations
@@ -138,21 +145,30 @@ class MarketState:
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Per-n lattice quantities.
+    """Per-n lattice quantities of the walk the side prices on.
 
-    s = sigma sqrt(tau/n) is the log step, u = e^s, d = 1/u, um1 = u - 1.
-    p_up is the risk-neutral up probability (e^{r tau/n} - d)/(u - d);
-    q_adj = p_up u e^{-r tau/n} is the adjusted weight under which the
-    lookback price is S_t times an expectation over terminal levels.
-    j0 = j0_floor + j0_frac after integer snapping; kappa = {j0}(1 - {j0}).
+    s is the signed log step: sigma sqrt(tau/n) for a call and
+    -sigma sqrt(tau/n) for a put, so a put's fields describe its own
+    walk, with u = e^s < 1.  d = 1/u and um1 = u - 1.  p_up is the
+    risk-neutral up probability (e^{r tau/n} - d)/(u - d); q_adj =
+    p_up u e^{-r tau/n} is the adjusted weight under which the lookback
+    price is S_t times an expectation over terminal levels; one_m_p and
+    one_m_q are 1 - p_up and 1 - q_adj, each formed from its own
+    expm1/sinh difference rather than by subtraction from 1.
+    j0 = j0_floor + j0_frac >= 0 after integer snapping (the same on both
+    sides); kappa = {j0}(1 - {j0}).
 
-    The reduced closed form needs the ratios Q = q/(1-q), P = p/(1-p)
-    (q = q_adj, p = p_up) and the combinations that vanish as n grows:
-    Qm1 = Q - 1, Pm1 = P - 1, Qdm1 = Q d - 1 and uWm1 = u/Q - 1.  Each is
-    assembled from expm1/sinh differences, so it keeps full relative
-    precision where the naive difference would lose it (at n = 1e7,
-    P - 1, Q d - 1 or u/Q - 1 formed from the float ratios is off by
-    3e-13 to 4e-13 relative).
+    The tree steps by (w_up, w_dn): the one of q_adj and one_m_q that is
+    at least 1/2, as formed, and 1.0 minus it, which is exact, so the two
+    sum to 1 exactly.
+
+    The reduced closed form needs the ratio Q = q/(1-q) (q = q_adj) and
+    the combinations that vanish as n grows: Qm1 = Q - 1, Pm1 = P - 1
+    with P = p/(1-p) (p = p_up), and Qdm1 = Q d - 1.  Each is assembled
+    from expm1/sinh differences, so it keeps full relative precision
+    where the naive difference would lose it (at n = 1e7, P - 1 or
+    Q d - 1 formed from the float ratios is off by 3e-13 to 4e-13
+    relative).
     """
 
     n: int
@@ -162,12 +178,14 @@ class TreeParams:
     um1: float
     p_up: float
     q_adj: float
-    P: float
+    one_m_p: float
+    one_m_q: float
     Q: float
     Pm1: float
     Qm1: float
     Qdm1: float
-    uWm1: float
+    w_up: float
+    w_dn: float
     j0: float
     j0_floor: int
     j0_frac: float
@@ -197,50 +215,53 @@ def _split_level(j0: float) -> tuple[int, float]:
     return int(floor), j0 - floor
 
 
-def _payoffs(levels: np.ndarray, s: float, side: Side) -> np.ndarray:
-    """1 - u^-level (call) or u^level - 1 (put) per level, u = e^s; a put
-    level whose u^level overflows is refused rather than priced inf."""
-    sign = -1.0 if side == "call" else 1.0
+def _payoffs(levels: np.ndarray, s: float) -> np.ndarray:
+    """The call's payoff 1 - e^{-s level} per level.  At s < 0 it is minus
+    the put's e^{|s| level} - 1, and a level where that overflows is
+    refused rather than priced inf."""
     try:
         with np.errstate(over="raise"):
-            return sign * np.expm1(sign * levels * s)
+            return -np.expm1(-levels * s)
     except FloatingPointError:
-        raise ModelError(f"put payoff u^level - 1 overflows: need level * s < "
+        raise ModelError(f"put payoff e^(level |s|) - 1 overflows: need level * |s| < "
                          f"{_LOG_FLOAT_MAX:.6g}, got s = {s:.6g}") from None
 
 
-def _initial_level(market: MarketState, side: Side) -> float:
-    if side == "call":
-        return math.log(market.spot / market.extremum)
-    return math.log(market.extremum / market.spot)
+def _signed_price(par: TreeParams, spot: float, value: float) -> float:
+    """The price from the call arrangement's value per unit spot: clamped
+    to spot, a call's exact bound (the payoff S_T - min is at most S_T; a
+    negated put lies below it), then times the sign of s."""
+    return math.copysign(1.0, par.s) * min(spot * value, spot)
 
 
 def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     """Lattice parameters for an n-period tree.
 
-    u = e^{sigma sqrt(tau/n)}, d = 1/u.  p and q are assembled from
-    expm1/sinh differences so that e.g. 2q - 1 = O(sqrt(tau/n)) keeps
-    full relative precision at n = 1e5 (u + d - 2 computed directly
-    would lose nine digits).  The three pricers call this first, so it
-    is where n is refused with DomainError unless it is an integer
-    (``numerics.as_index``) and n >= 1.
+    u = e^s, d = 1/u with s = sigma sqrt(tau/n) for a call and
+    -sigma sqrt(tau/n) for a put: the only place the side is read.  p and
+    q are assembled from expm1/sinh differences so that e.g.
+    2q - 1 = O(sqrt(tau/n)) keeps full relative precision at n = 1e5
+    (u + d - 2 computed directly would lose nine digits).  The three
+    pricers call this first, so it is where n is refused with DomainError
+    unless it is an integer (``numerics.as_index``) and n >= 1.
     """
     n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     market.require_side(side)
     dt = market.tau / n
-    s = market.sigma * math.sqrt(dt)
-    if market.rate * dt >= s:
+    step = market.sigma * math.sqrt(dt)
+    if market.rate * dt >= step:
         raise ModelError(
             f"n too small for given r, sigma, tau: need r*tau/n < sigma*sqrt(tau/n), "
             f"got n={n}, r={market.rate}, sigma={market.sigma}, tau={market.tau}"
         )
-    if not s < _LOG_FLOAT_MAX:
+    if not step < _LOG_FLOAT_MAX:
         raise ModelError(
             f"n too small for given sigma, tau: u = e^(sigma*sqrt(tau/n)) overflows, "
             f"got n={n}, sigma={market.sigma}, tau={market.tau}"
         )
+    s = step if side == "call" else -step
     u = math.exp(s)
     d = math.exp(-s)
     um1 = math.expm1(s)
@@ -255,25 +276,28 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     one_m_q = (em - dm1) / ud
     two_q_m1 = (a - 2.0 * em) / ud
     two_p_m1 = (2.0 * ep - a) / ud
-    # the pricers weight by w and 1.0 - w: a weight that rounds to 0 or 1
-    # (from about s = 37) would price on a wrong weight or fail in log1p
-    for name, weight in (("p_up", p), ("q_adj", q)):
+    # the pricers weight by these and by 1.0 minus them: a weight that
+    # rounds to 0 or 1 (from about s = 37) would price on a wrong weight
+    # or fail in log1p.  At -s the four swap in pairs, so both sides
+    # check the same four numbers.
+    for name, weight in (("p_up", p), ("one_m_p", one_m_p), ("q_adj", q),
+                         ("one_m_q", one_m_q)):
         if not (0.0 < weight < 1.0 and 0.0 < 1.0 - weight < 1.0):
             raise ModelError(
                 f"n too small for given sigma, tau: {name} = {weight!r} or "
                 f"1 - {name} rounds to 0 or 1, got n={n}, sigma={market.sigma}, "
                 f"tau={market.tau}"
             )
-    raw_j0 = _initial_level(market, side) / s
+    raw_j0 = math.log(max(market.spot, market.extremum)
+                      / min(market.spot, market.extremum)) / step
     if not math.isfinite(raw_j0):
         raise ModelError(f"start level log(S/M)/s overflows, got s = {s}")
     floor, frac = _split_level(raw_j0)
+    w_up, w_dn = (q, 1.0 - q) if q >= 0.5 else (1.0 - one_m_q, one_m_q)
     return TreeParams(
-        n=n, s=s, u=u, d=d, um1=um1, p_up=p, q_adj=q,
-        P=p / one_m_p, Q=q / one_m_q,
-        Pm1=two_p_m1 / one_m_p, Qm1=two_q_m1 / one_m_q,
-        Qdm1=-(1.0 + d) * em / (em - dm1),
-        uWm1=(1.0 + u) * em / (ud * q),
+        n=n, s=s, u=u, d=d, um1=um1, p_up=p, q_adj=q, one_m_p=one_m_p, one_m_q=one_m_q,
+        Q=q / one_m_q, Pm1=two_p_m1 / one_m_p, Qm1=two_q_m1 / one_m_q,
+        Qdm1=-(1.0 + d) * em / (em - dm1), w_up=w_up, w_dn=w_dn,
         j0=floor + frac, j0_floor=floor, j0_frac=frac, kappa=frac * (1.0 - frac),
     )
 
@@ -330,7 +354,7 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     """S_t (V1 - V2 + V3) summed over terminal levels, in O(n).
 
     Every weight comes from one row pmf(i) = C(n, i) w^i (1-w)^{n-i},
-    i = 0..n, with w = q_adj for calls and 1 - q_adj for puts, and
+    i = 0..n, with (w, 1 - w) the tree's pair (w_up, w_dn) and
     rho = w / (1 - w):
 
     * V1 runs over the unabsorbed levels j0 + 2k - n with weight pmf(k);
@@ -346,30 +370,31 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     Against a 40-digit evaluation of the same sums the result agrees to
     within 5e-15 relative on the four table markets at n = 5000.
 
-    A call is clamped to spot, its exact bound (the payoff S_T - min is
-    at most S_T): where it tends to spot, at sigma sqrt(tau) of 15 to 25,
-    the sums round up to 4.4e-16 relative past it.
+    The sums are the call's, on the put's own walk for a put, and the
+    result is sign(s) times them.  A call is clamped to spot, its exact
+    bound (the payoff S_T - min is at most S_T): where it tends to spot,
+    at sigma sqrt(tau) of 15 to 25, the sums round up to 4.4e-16 relative
+    past it.
     """
     par = tree_params(market, n, side)
-    cap = market.spot if side == "call" else math.inf
     s = par.s
     floor = par.j0_floor
-    w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
-    log_pmf = _binom_pmf_log_vec(np.arange(n + 1, dtype=np.int64), _pmf_consts(n, w_up))
+    log_pmf = _binom_pmf_log_vec(np.arange(n + 1, dtype=np.int64),
+                                 _pmf_consts([(n, par.w_up)])[:, 0])
 
     # k below n - (n+f)/2 cannot stay unabsorbed; for j0 > n no path is
     # ever absorbed and every k >= 0 is plain binomial
     k_min = max(n - (n + floor) // 2, 0)
     levels = par.j0 + 2.0 * np.arange(k_min, n + 1) - n
-    payoffs = _payoffs(levels, s, side)
+    payoffs = _payoffs(levels, s)
     v1 = math.fsum((payoffs * np.exp(log_pmf[k_min:])).tolist())
 
     n_inner = n - floor - 1  # top absorbed level; negative when j0 >= n
     if n_inner < 0:
-        return min(market.spot * v1, cap)
+        return _signed_price(par, market.spot, v1)
 
     # log(w / (1 - w)) from the exact 2w - 1, so rho matches the pmf row
-    log_rho = math.log1p((2.0 * w_up - 1.0) / (1.0 - w_up))
+    log_rho = math.log1p((2.0 * par.w_up - 1.0) / par.w_dn)
     reflected = np.exp(log_pmf[k_min + floor + 1:] - (floor + 1) * log_rho)
     v2 = math.fsum((payoffs[: reflected.size] * reflected).tolist())
 
@@ -378,18 +403,18 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     log_prefix = np.logaddexp.accumulate(log_pmf[: i.size] + log_ratio)
     j = np.arange(n_inner + 1)
     rows = np.exp(j * log_rho + log_prefix[(n_inner + j) // 2 - j])
-    v3 = math.fsum((_payoffs(j, s, side) * rows).tolist())
-    return min(market.spot * (v1 - v2 + v3), cap)
+    v3 = math.fsum((_payoffs(j, s) * rows).tolist())
+    return _signed_price(par, market.spot, v1 - v2 + v3)
 
 
 def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     """Same value as ``price_closed`` via binomial CDFs.
 
-    One arrangement serves both sides and every rate r >= 0.  With up
-    weight w (q_adj for calls, 1 - q_adj for puts), w' the matching p_up
-    or 1 - p_up, rho = w/(1-w), rho' = w'/(1-w'), c = u^sign and payoff
-    sign (c^level - 1) (sign = -1 for calls, +1 for puts), V1 and V2 are
-    upper-CDF differences in w and w' at the split indices
+    One arrangement, the call's, serves every rate r >= 0; a put is
+    sign(s) = -1 times it on the put's own walk.  With up weight
+    w = q_adj, w' = p_up, rho = Q = w/(1-w), rho' = P = w'/(1-w'),
+    c = d = 1/u and payoff 1 - c^level, V1 and V2 are upper-CDF
+    differences in w and w' at the split indices
     j1 = n - floor((n + f)/2) and j2 = j1 + f + 1, f = j0_floor.  The V3
     double sum telescopes, at j3 = j1 - 1, into
 
@@ -410,9 +435,10 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     times the exact ratios pmf_{n-1,t} / pmf_{n-1,mid} in plain floats.
     Where the interval is wide against the pmf's scale in t (spread above
     ``GL_MAX_SPREAD``) the two CDFs are taken and differenced directly,
-    as they do not cancel there.  ``side`` picks only the scalars; each
-    keeps the form that is exact for its side (for a put, rho c - 1 =
-    uWm1; for a call, Qdm1).
+    as they do not cancel there.  The complements 1 - w and 1 - w' are
+    ``one_m_q`` and ``one_m_p``, each formed from its own difference, and
+    rho c - 1 is ``Qdm1``: the tree's pair (w_up, w_dn) would carry the
+    rounding of 1.0 - w into them.
 
     Six CDFs of O(sqrt(n)) time each (see ``binom_cdf_exact``) and, as
     single-term specs, the midpoint pmf and the parity-edge pmf go to one
@@ -422,7 +448,7 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     on the table markets one call up to n = 5000, where every sum ends in
     its first chunk, and a call per CDF from n = 1.2e5 on.  Against
     ``price_closed`` on the table markets at n = 1e4, 1e5 and 1e6 the
-    result stays within 3.1e-14 relative on T1, 2.5e-13 on T3, 5.8e-14
+    result stays within 7.9e-15 relative on T1, 2.5e-13 on T3, 5.8e-14
     on T2 and 1.4e-13 on T4, and on the T1 and T3 markets at r = 1e-8 and
     1e-11 within 2.4e-13.  Against backward induction at n = 500 both
     stay within 1.1e-14 for every r from 0 through 1e-14, 1e-13, ...,
@@ -432,27 +458,17 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     par = tree_params(market, n, side)
     spot = market.spot
     floor = par.j0_floor
-    q, p = par.q_adj, par.p_up
+    # w_c = 1 - w, wp_c = 1 - w', rc_m1 = rho c - 1
+    w, w_c, wp, wp_c = par.q_adj, par.one_m_q, par.p_up, par.one_m_p
+    log_rho, log_rho_p = math.log1p(par.Qm1), math.log1p(par.Pm1)
+    rho, rc_m1 = par.Q, par.Qdm1
+    c, cm1 = par.d, math.expm1(-par.s)
     x = market.rate * (market.tau / n)
     disc = math.exp(-market.rate * market.tau)
-    ud = 2.0 * math.sinh(par.s)
     # 1 - w' - w = x width_x and rho c - 1 = x rc_x, both ratios finite
     # and nonzero at x = 0: 2 sinh(x) / x = expm1(x)/x + expm1(-x)/-x
-    width_x = (expm1_ratio(x) + expm1_ratio(-x)) / ud
-    # w_c = 1 - w, wp_c = 1 - w', rc_m1 = rho c - 1
-    if side == "call":
-        sign, w, w_c, wp, wp_c = -1.0, q, 1.0 - q, p, 1.0 - p
-        log_rho, log_rho_p = math.log1p(par.Qm1), math.log1p(par.Pm1)
-        rho, rc_m1 = par.Q, par.Qdm1
-        c, cm1, one_m_cinv = par.d, math.expm1(-par.s), -par.um1
-        width_x = -width_x
-        rc_x = (1.0 + par.d) * expm1_ratio(-x) / (math.expm1(-x) - cm1)
-    else:
-        sign, w, w_c, wp, wp_c = 1.0, 1.0 - q, q, 1.0 - p, p
-        log_rho, log_rho_p = -math.log1p(par.Qm1), -math.log1p(par.Pm1)
-        rho, rc_m1 = 1.0 / par.Q, par.uWm1
-        c, cm1, one_m_cinv = par.u, par.um1, 1.0 - par.d
-        rc_x = -(1.0 + par.u) * expm1_ratio(-x) / (ud * q)
+    width_x = -(expm1_ratio(x) + expm1_ratio(-x)) / (2.0 * math.sinh(par.s))
+    rc_x = (1.0 + c) * expm1_ratio(-x) / (math.expm1(-x) - cm1)
     j1 = n - (n + floor) // 2
     j2 = j1 + floor + 1
     j3 = j1 - 1
@@ -472,15 +488,15 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
             specs.append((n, w, j3, None))
     cdf = binom_cdfs(specs)
     # extremum/spot as c^{j0}: consistent with the snapped level
-    ms_disc = math.exp(sign * par.j0 * par.s) * disc
-    v1 = sign * (ms_disc * cdf[0] - cdf[1])
+    ms_disc = math.exp(-par.j0 * par.s) * disc
+    v1 = cdf[1] - ms_disc * cdf[0]
     if n_inner < 0:
-        return spot * v1
-    v2 = sign * (ms_disc * math.exp(-(floor + 1) * log_rho_p) * cdf[2]
-                 - math.exp(-(floor + 1) * log_rho) * cdf[3])
-    # parity edge term: the top absorbed level is reached only when
-    # n - floor - 1 and the step count share parity
-    edge = one_m_cinv * cdf[7] if n_inner % 2 == 0 else 0.0
+        return _signed_price(par, spot, v1)
+    v2 = (math.exp(-(floor + 1) * log_rho) * cdf[3]
+          - ms_disc * math.exp(-(floor + 1) * log_rho_p) * cdf[2])
+    # parity edge term, (1 - 1/c) pmf: the top absorbed level is reached
+    # only when n - floor - 1 and the step count share parity
+    edge = -par.um1 * cdf[7] if n_inner % 2 == 0 else 0.0
     # K = e^E c + (c - 1) expm1(E)/(rho c - 1), with r tau/(rho c - 1) = n/rc_x
     big_e = -market.rate * market.tau - (floor + 2) * math.log1p(rc_m1)
     e_over_rc = -n / rc_x - (floor + 2) * log1p_ratio(rc_m1)
@@ -494,8 +510,7 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
 
         div = -rho * cm1 * (width_x / rc_x) * n * cdf[6] * gl_mean(ratio, half)
     v3 = rho * k * cdf[4] + div - math.exp(-(floor + 1) * log_rho) * cdf[5] + edge
-    price = spot * (v1 - v2 + sign * v3)
-    return min(price, spot) if side == "call" else price
+    return _signed_price(par, spot, v1 - v2 - v3)
 
 
 def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
@@ -521,11 +536,12 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     f - t).  The slice shrinks by one cell a step, so every cell it
     reads is a ghost or was written by the step before.  G_{n-f-1} reads the F ghost
     as its upper neighbour, but an integer level g is reachable at time
-    t only for g <= t - f - 1, so no reachable cell depends on it.  Up
-    weight is q_adj for calls and 1 - q_adj for puts.  No per-step
-    discounting: the adjusted weights already price relative to the spot
-    numeraire (q_adj + (1 - q_adj) = 1 absorbs e^{-r tau/n}), so the
-    price is simply spot times the start-level expectation.
+    t only for g <= t - f - 1, so no reachable cell depends on it.  The
+    cells step by the pair (w_up, w_dn), which sums to 1 exactly, over
+    the call's payoffs; a put is sign(s) times that, on its own walk.  No
+    per-step discounting: the adjusted weights already price relative to
+    the spot numeraire (q_adj + (1 - q_adj) = 1 absorbs e^{-r tau/n}), so
+    the price is simply spot times the start-level expectation.
     """
     par = tree_params(market, n, side)
     if n > TREE_MAX_N:
@@ -533,8 +549,7 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
             f"price_backward_induction is limited to n <= {TREE_MAX_N}, got {n}"
         )
     floor, frac = par.j0_floor, par.j0_frac
-    w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
-    w_dn = 1.0 - w_up
+    w_up, w_dn = par.w_up, par.w_dn
     # (levels, ghost indices, index of the start level); a ghost's level
     # is 0 and its value is refreshed before it is read
     if floor >= n:
@@ -551,7 +566,7 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     # Two columns take turns as source and target, so the loop allocates
     # nothing: fresh per-step temporaries land on whatever alignment
     # malloc gives them, and their speed varied by 1.6x with it.
-    col = _payoffs(levels, par.s, side)
+    col = _payoffs(levels, par.s)
     new = np.empty_like(col)
     scratch = np.empty_like(col)
     for t in range(n - 1, -1, -1):
@@ -564,4 +579,4 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
         np.multiply(col[lo - 1:hi - 1], w_dn, out=tmp)
         out += tmp
         col, new = new, col
-    return market.spot * float(col[start])
+    return math.copysign(market.spot, par.s) * float(col[start])

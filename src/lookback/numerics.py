@@ -106,7 +106,7 @@ _TAIL_LOG = 60.0 * math.log(2.0)
 _FIRST_CHUNK_PAD = 2
 
 # stirlerr(k) for k = 0..29, computed once in 50-digit arithmetic and frozen;
-# the series below is only reliable from k = 30 upward.
+# the series in ``_stirlerr`` is only reliable from k = 30 upward.
 _STIRLERR_TABLE = np.array([
     0.0,
     0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
@@ -217,18 +217,6 @@ def gl_mean(f: Callable[[float], float], half: float) -> float:
                      for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
-def _stirlerr_series(x: float | np.ndarray) -> float | np.ndarray:
-    """stirlerr(x) for x >= 30 by its asymptotic series."""
-    x2 = x * x
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / x
-
-
-def _stirlerr(k: float) -> float:
-    if k < 30:
-        return float(_STIRLERR_TABLE[int(k)])
-    return _stirlerr_series(k)
-
-
 def as_index(value: object, name: str) -> int:
     """value as an int if ``operator.index`` takes it (numpy integers pass;
     5.0, 5.5, "7" and None do not), else DomainError naming it."""
@@ -252,7 +240,7 @@ def binom_pmf_log(n: int, p: float, k: int) -> float:
     _check_binom_args(n, p)
     if not 0 <= as_index(k, "k") <= n:
         raise DomainError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
-    return float(_binom_pmf_log_vec(np.array([k], dtype=np.int64), _pmf_consts(n, p))[0])
+    return float(_binom_pmf_log_vec(np.array([k], dtype=np.int64), _pmf_consts([(n, p)])[:, 0])[0])
 
 
 def binom_pmf(n: int, p: float, k: int) -> float:
@@ -261,13 +249,20 @@ def binom_pmf(n: int, p: float, k: int) -> float:
     return binom_cdfs([(n, p, k, None)])[0]
 
 
-def _stirlerr_vec(ks: np.ndarray) -> np.ndarray:
-    out = np.empty_like(ks)
-    small = ks < 30
-    out[small] = _STIRLERR_TABLE[ks[small].astype(np.int64)]
-    big = ~small
-    if big.any():
-        out[big] = _stirlerr_series(ks[big])
+def _stirlerr(x: np.ndarray) -> np.ndarray:
+    """stirlerr per entry of x, whose entries are whole numbers >= 0: the
+    frozen table below 30, the asymptotic series from 30 up.  Unless
+    every entry is below 30, the series runs over all of them (raised to
+    30 where they are below) and the table is written over those."""
+    small = x < 30
+    n_small = np.count_nonzero(small)
+    if n_small == x.size:
+        return _STIRLERR_TABLE[x.astype(np.int64)]
+    big = np.maximum(x, 30.0)
+    x2 = big * big
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * x2)) / x2) / x2) / x2) / big
+    if n_small:
+        out[small] = _STIRLERR_TABLE[x[small].astype(np.int64)]
     return out
 
 
@@ -316,17 +311,20 @@ def _bd0_vec(xs: np.ndarray, m: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def _pmf_consts(n: int, p: float) -> tuple[float, float, float, float, float, float]:
-    """What log pmf(n, p, k) takes from n and p alone: n, stirlerr(n), n p,
-    n (1 - p), and the values at k = 0 and k = n."""
-    nf = float(n)
-    return nf, _stirlerr(nf), nf * p, nf * (1.0 - p), nf * math.log1p(-p), nf * math.log(p)
+def _pmf_consts(pairs: Sequence[tuple[int, float]]) -> np.ndarray:
+    """What log pmf(n, p, k) takes from n and p alone, one column per
+    (n, p) of pairs: n, stirlerr(n), n p, n (1 - p), and the values at
+    k = 0 and k = n."""
+    consts = np.array([(n, 0.0, n * p, n * (1.0 - p), n * math.log1p(-p), n * math.log(p))
+                       for n, p in pairs]).T
+    consts[1] = _stirlerr(consts[0])
+    return consts
 
 
 def _binom_pmf_log_vec(ks: np.ndarray, consts: Sequence) -> np.ndarray:
     """Vectorized binom_pmf_log over an int64 array with entries in [0, n].
 
-    ``consts`` holds the six fields of ``_pmf_consts(n, p)``, each a
+    ``consts`` holds the six fields of a ``_pmf_consts`` column, each a
     scalar or an array aligned with ks that gives it per entry, which
     lets one call evaluate chunks of several (n, p) at once.
     """
@@ -349,11 +347,14 @@ def _log_pmf_inside(
     k: np.ndarray, nf: float | np.ndarray, st_n: float | np.ndarray,
     mean_up: float | np.ndarray, mean_dn: float | np.ndarray,
 ) -> np.ndarray:
-    """log pmf at 0 < k < n by the Stirling-error decomposition."""
+    """log pmf at 0 < k < n by the Stirling-error decomposition; one
+    ``_stirlerr`` call gives stirlerr of k and of n - k."""
+    nk = nf - k
+    st = _stirlerr(np.concatenate((k, nk)))
     return (
-        st_n - _stirlerr_vec(k) - _stirlerr_vec(nf - k)
-        - _bd0_vec(k, mean_up) - _bd0_vec(nf - k, mean_dn)
-        + 0.5 * np.log(nf / (2.0 * np.pi * k * (nf - k)))
+        st_n - st[:k.size] - st[k.size:]
+        - _bd0_vec(k, mean_up) - _bd0_vec(nk, mean_dn)
+        + 0.5 * np.log(nf / (2.0 * np.pi * k * nk))
     )
 
 
@@ -488,22 +489,19 @@ def _first_chunk(n: int, p: float, walk: range) -> int:
     module docstring needed a second round; with two, none did.
     """
     a = walk[0]
-    lam = _log_drop(n, p, a, walk.step)
+    # lam = -log r_a, inf where the next term is 0
+    ratio = _step_ratio(n, p, a, walk.step)
+    lam = -math.log(ratio) if ratio > 0.0 else math.inf
     kap = (n + 1) / ((a + 1) * (n - a + 1))
     m = 2.0 * _TAIL_LOG / (lam + math.sqrt(lam * lam + 2.0 * kap * _TAIL_LOG))
     end = math.ceil(m)
     if 0 < end < len(walk):
-        lam_end = _log_drop(n, p, walk[end], walk.step)
+        ratio = _step_ratio(n, p, walk[end], walk.step)
+        lam_end = -math.log(ratio) if ratio > 0.0 else math.inf
         short = _TAIL_LOG - m * (lam + lam_end) / 2.0
         if short > 0.0:
             m += short / lam_end
     return min(math.ceil(m) + _FIRST_CHUNK_PAD, _chunk_cap(n, p))
-
-
-def _log_drop(n: int, p: float, k: int, step: int) -> float:
-    """-log of the step ratio at k; inf where the next term is 0."""
-    ratio = _step_ratio(n, p, k, step)
-    return -math.log(ratio) if ratio > 0.0 else math.inf
 
 
 def _packs(walks: list[tuple]) -> list[list[tuple]]:
@@ -529,10 +527,10 @@ def _chunk_terms(pack: list[tuple]) -> list[np.ndarray]:
     """
     ks = [np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
           for _, _, _, chunk, *_ in pack]
-    consts = [_pmf_consts(n, p) for _, n, p, *_ in pack]
+    consts = _pmf_consts([(n, p) for _, n, p, *_ in pack])
     if len(pack) == 1:
-        return [np.exp(_binom_pmf_log_vec(ks[0], consts[0]))]
+        return [np.exp(_binom_pmf_log_vec(ks[0], consts[:, 0]))]
     widths = [len(k) for k in ks]
-    per_entry = np.repeat(np.array(consts).T, widths, axis=1)
+    per_entry = np.repeat(consts, widths, axis=1)
     terms = np.exp(_binom_pmf_log_vec(np.concatenate(ks), per_entry))
     return [terms[end - width:end] for end, width in zip(itertools.accumulate(widths), widths)]

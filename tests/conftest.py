@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lookback import numerics
+
+# Every property test runs without a per-example deadline: the machines
+# that run the suite vary too much in speed for a fixed one.
+settings.register_profile("lookback", deadline=None)
+settings.load_profile("lookback")
 
 
 @pytest.fixture

@@ -78,13 +78,13 @@ def binom_tail_mp(n: int, p: float, j: int, lower: bool) -> mp.mpf:
 
 
 def lattice_ratios_mp(sigma: float, rate: float, tau: float, n: int) -> dict[str, mp.mpf]:
-    """Q, P and their vanishing combinations, straight from the
+    """Q and the vanishing combinations of Q and P, straight from the
     definitions in 50 digits.
 
     u = e^s with s = sigma sqrt(tau/n), d = 1/u, p = (e^{r tau/n} - d)/(u - d),
-    q = p u e^{-r tau/n}; Q = q/(1-q), P = p/(1-p), and the four
-    differences Q - 1, P - 1, Q d - 1 and u/Q - 1 taken directly, which
-    50 digits afford.
+    q = p u e^{-r tau/n}; Q = q/(1-q), P = p/(1-p), and the three
+    differences Q - 1, P - 1 and Q d - 1 taken directly, which 50 digits
+    afford.  A negative sigma gives a put's lattice, stepped by -|s|.
     """
     with mp.workdps(50):
         dt = mp.mpf(tau) / n
@@ -94,8 +94,7 @@ def lattice_ratios_mp(sigma: float, rate: float, tau: float, n: int) -> dict[str
         p = (growth - d) / (u - d)
         q = p * u / growth
         big_q, big_p = q / (1 - q), p / (1 - p)
-        return {"Q": big_q, "P": big_p, "Qm1": big_q - 1, "Pm1": big_p - 1,
-                "Qdm1": big_q * d - 1, "uWm1": u / big_q - 1}
+        return {"Q": big_q, "Qm1": big_q - 1, "Pm1": big_p - 1, "Qdm1": big_q * d - 1}
 
 
 def _bs_terms_mp(s, m, sig, r, t, side):
@@ -197,9 +196,9 @@ def closed_sum_mp(
 ) -> mp.mpf:
     """S (V1 - V2 + V3) of the Cheuk-Vorst closed formula in 40 digits.
 
-    Takes the lattice's float inputs as given: the up weight w (q_adj for
-    calls, 1 - q_adj for puts), the snapped start level j0 with its floor
-    f, and the log step s.  Payoff at level x is 1 - e^{-x s} (call) or
+    Takes the lattice's float inputs as given: the up weight w (the
+    tree's w_up), the snapped start level j0 with its floor f, and the
+    log step s = |TreeParams.s|.  Payoff at level x is 1 - e^{-x s} (call) or
     e^{x s} - 1 (put); C(n, k) and w^k (1-w)^{n-k} come from their
     multiplicative recurrences, and the count difference
     C(n, i) - C(n, i-1) of an absorbed path is taken literally.
@@ -278,20 +277,21 @@ def dense_backward_induction(market: MarketState, n: int, side: Side) -> float:
     no cell is left out for being out of reach of the start.  Each cell
     becomes w_up * (value above) + w_dn * (value below), where below 0 a
     G cell stays at G_0 and an F cell is absorbed into G_0.  An integer
-    start reads G, a fractional one F.
+    start reads G, a fractional one F.  The cells hold the call's payoffs
+    on the lattice's signed step, and the price is sign(s) times the
+    start's value, as in ``price_backward_induction``.
     """
     par = tree_params(market, n, side)
-    w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
-    w_dn = 1.0 - w_up
+    w_up, w_dn = par.w_up, par.w_dn
     levels = np.arange(par.j0_floor + n + 1, dtype=np.float64)
-    g = _payoffs(levels, par.s, side).tolist()
-    f = _payoffs(par.j0_frac + levels, par.s, side).tolist()
+    g = _payoffs(levels, par.s).tolist()
+    f = _payoffs(par.j0_frac + levels, par.s).tolist()
     for _ in range(n):
         f = [w_up * f[1] + w_dn * g[0]] + [w_up * f[i + 1] + w_dn * f[i - 1]
                                            for i in range(1, len(f) - 1)]
         g = [w_up * g[1] + w_dn * g[0]] + [w_up * g[i + 1] + w_dn * g[i - 1]
                                            for i in range(1, len(g) - 1)]
-    return market.spot * (f if par.j0_frac > 0.0 else g)[par.j0_floor]
+    return math.copysign(market.spot, par.s) * (f if par.j0_frac > 0.0 else g)[par.j0_floor]
 
 
 def walk_price(

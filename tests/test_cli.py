@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from lookback import MarketState, bs_price, expansion_coeffs, expansion_price
+from lookback import cli
 from lookback.cli import (
     RunConfig,
     TABLE_MARKETS,
@@ -389,6 +390,22 @@ class TestMainErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert json.loads(err)["error"] == "BudgetError"
+
+    @pytest.mark.parametrize("args", [
+        PRICE_ARGS + ["--n", "1000000000,2000000000", "--method", "reduced"],
+        ["cdf-bench", "--n", "1000000000,2000000000"],
+    ])
+    def test_grid_past_the_cdf_cap_prices_nothing(self, capsys, monkeypatch, args):
+        """A grid that runs past CDF_MAX_N is refused before its first n,
+        which is within the cap, is priced."""
+        calls = []
+        for name in ("price_closed_reduced", "binom_cdf_exact"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+        assert main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == "BudgetError"
+        assert calls == []
 
     def test_malformed_n_list_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

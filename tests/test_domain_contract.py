@@ -51,7 +51,7 @@ def _outcome(price_fn):
         return None
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, derandomize=True)
 @given(case=_markets())
 def test_prices_are_finite_and_bounded_or_refused(case):
     market, side, n = case

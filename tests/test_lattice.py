@@ -162,14 +162,14 @@ class TestTreeParams:
         assert math.isclose(par.p_up, (math.exp(0.08 * dt) - d) / (u - d), rel_tol=1e-12)
 
     @pytest.mark.parametrize("n", [313, 10**7])
-    @pytest.mark.parametrize("market, side", [(T1, "call"), (T3, "put")],
+    @pytest.mark.parametrize("market, side, sign", [(T1, "call", 1.0), (T3, "put", -1.0)],
                              ids=["T1", "T3"])
-    def test_ratio_fields_against_mpmath(self, market, side, n):
-        """Q, P and the vanishing Q - 1, P - 1, Q d - 1, u/Q - 1 keep full
-        relative precision; at n = 1e7 forming them as P - 1, Q*d - 1 or
-        u/Q - 1 from the float Q, P loses 3e-13 to 4e-13."""
+    def test_ratio_fields_against_mpmath(self, market, side, sign, n):
+        """Q and the vanishing Q - 1, P - 1, Q d - 1 keep full relative
+        precision, a put's on its own lattice at -sigma; at n = 1e7 forming
+        them as P - 1 or Q*d - 1 from the float Q, P loses 3e-13 to 4e-13."""
         par = tree_params(market, n, side)
-        ref = lattice_ratios_mp(market.sigma, market.rate, market.tau, n)
+        ref = lattice_ratios_mp(sign * market.sigma, market.rate, market.tau, n)
         for name, value in ref.items():
             got = getattr(par, name)
             assert abs(got - float(value)) <= 2e-15 * abs(float(value)), name
@@ -234,11 +234,13 @@ class TestTreeParams:
     def test_numpy_integer_n_accepted(self, pricer):
         assert pricer(T1, np.int64(50), "call") == pricer(T1, 50, "call")
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(market=market_strategy, n=st.integers(min_value=10, max_value=400))
     def test_probabilities_and_kappa_in_range(self, market, n):
         """0 < p_up, q_adj < 1 and 0 <= kappa <= 1/4 whenever the model
-        constraint r dt < sigma sqrt(dt) holds."""
+        constraint r dt < sigma sqrt(dt) holds.  A put's walk steps by
+        s < 0, and the tree's pair (w_up, w_dn) sums to 1 exactly: the
+        weight of q_adj and one_m_q that is at least 1/2, and 1.0 minus it."""
         dt = market.tau / n
         assume(market.rate * dt < market.sigma * math.sqrt(dt) * 0.999)
         side = "call" if market.extremum <= market.spot else "put"
@@ -247,6 +249,10 @@ class TestTreeParams:
         assert 0.0 < par.q_adj < 1.0
         assert 0.0 <= par.kappa <= 0.25
         assert par.j0 == par.j0_floor + par.j0_frac
+        assert (par.s > 0.0) == (side == "call")
+        assert par.w_up + par.w_dn == 1.0
+        assert max(par.w_up, par.w_dn) >= 0.5
+        assert max(par.w_up, par.w_dn) in (par.q_adj, par.one_m_q)
 
 
 class TestPathCounts:
@@ -292,7 +298,7 @@ class TestPathCounts:
         from_iter = {(pc.j, pc.k): pc.count for pc in iter_path_counts(j0, n)}
         assert enum == from_iter
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         j0=st.sampled_from(J0_GRID + (2.0 + 1e-6, 1.0 - 1e-6, 0.0 + 1e-6)),
         n=st.integers(min_value=1, max_value=10),
@@ -341,7 +347,7 @@ class TestPathCounts:
 
 
 class TestProbabilityMass:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         j0=st.sampled_from(J0_GRID),
         n=st.integers(min_value=1, max_value=18),
@@ -379,7 +385,7 @@ class TestPriceClosed:
         b = price_closed_reduced(market, n, side)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b)), f"n={n}: {a} vs {b}"
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         market=market_strategy,
         n=st.integers(min_value=1, max_value=60),
@@ -391,7 +397,7 @@ class TestPriceClosed:
         side = "call" if market.extremum <= market.spot else "put"
         assert price_closed_reduced(market, n, side) >= 0.0
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         market=market_strategy,
         n=st.integers(min_value=1, max_value=12),
@@ -403,17 +409,15 @@ class TestPriceClosed:
         assume(market.rate * dt < market.sigma * math.sqrt(dt) * 0.999)
         side = "call" if market.extremum <= market.spot else "put"
         par = tree_params(market, n, side)
-        w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
         s = market.sigma * math.sqrt(dt)
-        ref = walk_price(market.spot, Fraction(par.j0), n, w_up, s, side)
+        ref = walk_price(market.spot, Fraction(par.j0), n, par.w_up, s, side)
         got = price_closed(market, n, side)
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def _closed_sum_mp(market: MarketState, n: int, side: str):
     par = tree_params(market, n, side)
-    w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
-    return closed_sum_mp(market.spot, n, w_up, par.j0, par.j0_floor, par.s, side)
+    return closed_sum_mp(market.spot, n, par.w_up, par.j0, par.j0_floor, abs(par.s), side)
 
 
 # (spot, extremum, sigma, rate, tau, n) of calls that price_closed's sums
@@ -465,8 +469,7 @@ class TestClosedSum:
     def test_mp_closed_sum_against_walk(self, market, side, n):
         """The 40-digit oracle itself reproduces the 2^n path walk."""
         par = tree_params(market, n, side)
-        w_up = par.q_adj if side == "call" else 1.0 - par.q_adj
-        walk = walk_price(market.spot, Fraction(par.j0), n, w_up, par.s, side)
+        walk = walk_price(market.spot, Fraction(par.j0), n, par.w_up, abs(par.s), side)
         ref = _closed_sum_mp(market, n, side)
         assert abs(walk - ref) <= 1e-13 * abs(ref)
 

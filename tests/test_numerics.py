@@ -214,7 +214,7 @@ class TestBinomCdf:
         for got, ref in cases:
             assert abs(got - float(ref)) <= 1e-12 * float(ref), (got, float(ref))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         n=st.integers(min_value=1, max_value=200_000),
         p=st.floats(min_value=0.05, max_value=0.95),
@@ -226,7 +226,7 @@ class TestBinomCdf:
         total = binom_cdf_exact(n, p, j) + binom_cdf_complement(n, p, j)
         assert abs(total - 1.0) <= 1e-13
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(n=st.integers(min_value=1, max_value=400), data=st.data())
     def test_symmetry_at_half(self, n, data):
         """p = 1/2: P(X <= j) + P(X <= n-j-1) == 1 within 1e-13."""
@@ -480,7 +480,7 @@ class TestHermitePoly:
     def test_degree_eleven(self):
         assert hermite_poly(11, 1.0) == 936.0
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         m=st.integers(min_value=1, max_value=10),
         y=st.floats(min_value=-5.0, max_value=5.0),
