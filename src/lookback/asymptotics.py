@@ -45,10 +45,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .continuous import BsTerms, DValues, bs_terms, d_values, price_from_terms
-# Unused here; perfbench/spans.py wraps this name on this module.
+# Unused here; perfbench/spans.py wraps these names on this module.
 from .continuous import bs_price  # noqa: F401
 from .errors import DomainError, ModelError
-from .lattice import MarketState, Side, price_closed_reduced, tree_params
+from .lattice import price_closed_reduced  # noqa: F401
+from .lattice import MarketState, Side, price_closed_reduced_grid, tree_params
 from .numerics import as_index
 
 __all__ = [
@@ -145,13 +146,13 @@ def residual_scan(
 
     scaled1 = (price_n - c0) sqrt(n) converges to c1; scaled2 =
     (price_n - c0 - c1/sqrt(n)) n tracks the oscillating c2(n).
-    price_n is the reduced closed form; exp is the expansion of the same
-    market and side (``expansion_coeffs``), which callers also need for
-    c1 and c2(n).
+    price_n is the reduced closed form, priced for the whole of n_list
+    by one ``price_closed_reduced_grid`` call; exp is the expansion of
+    the same market and side (``expansion_coeffs``), which callers also
+    need for c1 and c2(n).
     """
     rows = []
-    for n in n_list:
-        price_n = price_closed_reduced(market, n, side)
+    for n, price_n in zip(n_list, price_closed_reduced_grid(market, n_list, side)):
         scaled1 = (price_n - exp.c0) * math.sqrt(n)
         scaled2 = (price_n - exp.c0 - exp.c1 / math.sqrt(n)) * n
         rows.append((n, price_n, exp.c0, scaled1, scaled2))

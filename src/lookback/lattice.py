@@ -19,7 +19,9 @@ Three prices of the same quantity are implemented:
   pmf row and the absorbed double sum folded into prefix sums, O(n);
 * ``price_closed_reduced``: the same value rearranged into binomial
   CDFs, one arrangement for both sides and every rate r >= 0 (its 1/r
-  poles are written as divided differences), O(sqrt(n)) time per CDF.
+  poles are written as divided differences), O(sqrt(n)) time per CDF;
+  ``price_closed_reduced_grid`` sums the CDFs of a whole grid of n in
+  one pass.
   Against ``price_closed`` on the four table markets it stays within
   2.5e-13 relative at n = 1e4, 1e5 and 1e6;
 * ``price_backward_induction``: risk-neutral dynamic programming on the
@@ -45,15 +47,16 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, ModelError
 from .numerics import (
-    GL_MAX_SPREAD, _binom_pmf_log_vec, _pmf_consts, as_index, binom_cdfs, expm1_ratio,
-    gl_mean, log1p_ratio,
+    GL_MAX_SPREAD, _binom_pmf_log_vec, _check_binom_args, _pmf_consts, as_index, binom_cdfs,
+    expm1_ratio, gl_mean, log1p_ratio,
 )
 
 # Unused here; perfbench/spans.py wraps these names on this module.
@@ -70,6 +73,7 @@ __all__ = [
     "iter_path_counts",
     "price_closed",
     "price_closed_reduced",
+    "price_closed_reduced_grid",
     "price_backward_induction",
 ]
 
@@ -446,7 +450,10 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     takes the midpoint pmf's slot.  That call evaluates their chunks,
     round by round, in shared pmf kernel calls of at most 4,096 entries:
     on the table markets one call up to n = 5000, where every sum ends in
-    its first chunk, and a call per CDF from n = 1.2e5 on.  Against
+    its first chunk, and a call per CDF from n = 1.2e5 on.  This is
+    ``price_closed_reduced_grid`` at the one n; a grid makes one
+    ``binom_cdfs`` call for all its n, and their chunks share kernel
+    calls too.  Against
     ``price_closed`` on the table markets at n = 1e4, 1e5 and 1e6 the
     result stays within 7.9e-15 relative on T1, 2.5e-13 on T3, 5.8e-14
     on T2 and 1.4e-13 on T4, and on the T1 and T3 markets at r = 1e-8 and
@@ -455,38 +462,94 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     1e-1 to 0.3.  A call is clamped to spot, as in ``price_closed``: at
     sigma sqrt(tau) of about 16.5 the sum rounds to 2.2e-16 past it.
     """
-    par = tree_params(market, n, side)
-    spot = market.spot
+    return price_closed_reduced_grid(market, (n,), side)[0]
+
+
+def price_closed_reduced_grid(market: MarketState, n_values: Sequence[int],
+                              side: Side) -> list[float]:
+    """``price_closed_reduced`` at each n of n_values, in order, from one
+    ``binom_cdfs`` call over the specs of every n.
+
+    The pmf kernel calls of that call are shared across the grid as well
+    as within each price.  On each table market a window of 16
+    consecutive n takes 1 kernel call at n = 2..17, 2 at n = 100..115 and
+    4 at n = 1000..1015, where priced one n at a time it takes 16.  Each
+    price reads its own slice of the results and is the same, bit for
+    bit, as when priced alone.  Per n the grid keeps its ``TreeParams``,
+    the interval of V3's mean and its specs until the call returns.  An n
+    that ``tree_params`` or the CDFs refuse raises what the loop of
+    single prices would raise, before any CDF is summed.
+    """
+    plans, specs = [], []
+    for n in n_values:
+        par = tree_params(market, n, side)
+        # the first spec's check, made where a loop of single prices makes it
+        _check_binom_args(par.n, par.p_up)
+        interval = _v3_interval(market, par)
+        specs += _reduced_specs(par, interval)
+        plans.append((par, interval, len(specs)))
+    cdf = binom_cdfs(specs)
+    prices, start = [], 0
+    for par, interval, end in plans:
+        prices.append(_reduced_price(market, par, interval, cdf[start:end]))
+        start = end
+    return prices
+
+
+def _v3_interval(market: MarketState, par: TreeParams) -> tuple[float, float, bool]:
+    """(width_x, half, direct) of V3's CDF difference over [w, 1 - w']:
+    1 - w' - w = x width_x with x = r tau/n, half the interval's width,
+    and whether its spread is above ``GL_MAX_SPREAD``."""
+    n = par.n
+    x = market.rate * (market.tau / n)
+    # 1 - w' - w = x width_x is finite and nonzero at x = 0:
+    # 2 sinh(x) / x = expm1(x)/x + expm1(-x)/-x
+    width_x = -(expm1_ratio(x) + expm1_ratio(-x)) / (2.0 * math.sinh(par.s))
+    half = 0.5 * x * width_x
+    # the interval against the slope j/t - (n-1-j)/(1-t) of
+    # log pmf_{n-1,t}(j3), which is monotone in t: largest at an end
+    j3 = n - (n + par.j0_floor) // 2 - 1
+    spread = 2.0 * abs(half) * max(abs(j3 / t - (n - 1 - j3) / (1.0 - t))
+                                   for t in (par.q_adj, par.one_m_p))
+    return width_x, half, spread > GL_MAX_SPREAD
+
+
+def _reduced_specs(par: TreeParams, interval: tuple[float, float, bool]) -> list[tuple]:
+    """The ``binom_cdfs`` specs of one reduced price, in the order
+    ``_reduced_price`` reads their results."""
+    n, floor = par.n, par.j0_floor
+    w, wp = par.q_adj, par.p_up
+    _, half, direct = interval
+    j1 = n - (n + floor) // 2
+    j2 = j1 + floor + 1
+    j3 = j1 - 1
+    n_inner = n - floor - 1
+    specs = [(n, wp, j1 - 1, True), (n, w, j1 - 1, True)]
+    if n_inner >= 0:
+        specs += [(n, wp, j2 - 1, True), (n, w, j2 - 1, True),
+                  (n, par.one_m_p, j3, False), (n, par.one_m_q, j3, False),
+                  (n, w, j3, False) if direct else (n - 1, par.one_m_p - half, j3, None)]
+        if n_inner % 2 == 0:
+            specs.append((n, w, j3, None))
+    return specs
+
+
+def _reduced_price(market: MarketState, par: TreeParams,
+                   interval: tuple[float, float, bool], cdf: list[float]) -> float:
+    """One reduced price from the results of its ``_reduced_specs``."""
+    n, spot = par.n, market.spot
     floor = par.j0_floor
-    # w_c = 1 - w, wp_c = 1 - w', rc_m1 = rho c - 1
-    w, w_c, wp, wp_c = par.q_adj, par.one_m_q, par.p_up, par.one_m_p
+    # rc_m1 = rho c - 1
     log_rho, log_rho_p = math.log1p(par.Qm1), math.log1p(par.Pm1)
     rho, rc_m1 = par.Q, par.Qdm1
     c, cm1 = par.d, math.expm1(-par.s)
     x = market.rate * (market.tau / n)
     disc = math.exp(-market.rate * market.tau)
-    # 1 - w' - w = x width_x and rho c - 1 = x rc_x, both ratios finite
-    # and nonzero at x = 0: 2 sinh(x) / x = expm1(x)/x + expm1(-x)/-x
-    width_x = -(expm1_ratio(x) + expm1_ratio(-x)) / (2.0 * math.sinh(par.s))
+    width_x, half, direct = interval
+    # rho c - 1 = x rc_x, a ratio finite and nonzero at x = 0
     rc_x = (1.0 + c) * expm1_ratio(-x) / (math.expm1(-x) - cm1)
-    j1 = n - (n + floor) // 2
-    j2 = j1 + floor + 1
-    j3 = j1 - 1
+    j3 = n - (n + floor) // 2 - 1
     n_inner = n - floor - 1
-    # the interval [w, 1 - w'] against the slope j/t - (n-1-j)/(1-t) of
-    # log pmf_{n-1,t}(j3), which is monotone in t: largest at an end
-    half = 0.5 * x * width_x
-    spread = 2.0 * abs(half) * max(abs(j3 / t - (n - 1 - j3) / (1.0 - t)) for t in (w, wp_c))
-    direct = spread > GL_MAX_SPREAD
-    mid = wp_c - half
-    specs = [(n, wp, j1 - 1, True), (n, w, j1 - 1, True)]
-    if n_inner >= 0:
-        specs += [(n, wp, j2 - 1, True), (n, w, j2 - 1, True),
-                  (n, wp_c, j3, False), (n, w_c, j3, False),
-                  (n, w, j3, False) if direct else (n - 1, mid, j3, None)]
-        if n_inner % 2 == 0:
-            specs.append((n, w, j3, None))
-    cdf = binom_cdfs(specs)
     # extremum/spot as c^{j0}: consistent with the snapped level
     ms_disc = math.exp(-par.j0 * par.s) * disc
     v1 = cdf[1] - ms_disc * cdf[0]
@@ -504,6 +567,8 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     if direct:
         div = rho * cm1 / rc_m1 * (cdf[4] - cdf[6])
     else:
+        mid = par.one_m_p - half
+
         def ratio(off: float) -> float:
             return math.exp(j3 * math.log1p(off / mid)
                             + (n - 1 - j3) * math.log1p(-off / (1.0 - mid)))

@@ -43,13 +43,18 @@ from 1 to 1e8 ended in its first chunk.  A walk that does not goes on
 in chunks of ceil(12 sd + 10) terms, which also cap the first.
 
 A vectorised pmf call of a few hundred terms is mostly fixed numpy
-cost, so ``binom_cdfs`` walks its CDFs in rounds: each round evaluates
-the next chunk of every sum still going in shared calls, with the
-(n, p) constants of the kernel repeated per entry.  A call holds at
-most 4,096 entries: one merged call over 7 x 6,000 entries takes 3.1 ms
-against 1.7 ms for seven separate calls (2-CPU x86 VM, n = 1e6), as its
-temporaries spill out of L2.  Each sum still adds the same terms, so
-the packed and one-at-a-time results are the same bit for bit.
+cost, so ``binom_cdfs`` walks its CDFs in groups.  It starts walks in
+spec order until their first chunks would pass 4,096 entries and runs
+that group to its end before it starts the next.  A group goes in
+rounds: each round evaluates the next chunk of every sum of the group
+still going in shared calls, with the (n, p) constants of the kernel
+repeated per entry.  A walk's terms are released as soon as it ends,
+so a spec list as long as a whole grid of reduced prices holds the
+terms of one group at a time.  A call holds at most 4,096 entries: one merged call
+over 7 x 6,000 entries takes 3.1 ms against 1.7 ms for seven separate
+calls (2-CPU x86 VM, n = 1e6), as its temporaries spill out of L2.
+Each sum still adds the same terms, so the packed and one-at-a-time
+results are the same bit for bit.
 
 The pmf and the CDFs take n up to ``CDF_MAX_N`` = 1e9 and raise
 ``BudgetError`` above it.
@@ -406,17 +411,25 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
     support, where r_a = 0 would stop it too, and a single term's after
     one term.
 
-    The walks go in rounds.  Each round evaluates the next chunk of every
-    walk still going, in spec order, in packed kernel calls of at most
-    ``_PACK_MAX`` entries, and each walk then adds its chunk and either
-    stops or goes on to the next round.  A call pays a fixed numpy cost
-    that dominates a chunk of a few hundred terms, so a reduced price's
-    six or seven CDFs at n <= 5000 take one call, not one each.  A walk
-    adds the same terms whatever it is packed with, so the result does
-    not depend on the other specs.
+    The walks start a group at a time, in spec order.  A group takes
+    walks until their first chunks would pass ``_PACK_MAX`` entries (a
+    longer first chunk makes a group of its own) and runs to its end
+    before the next group starts.  It goes in rounds: each round
+    evaluates the next chunk of every walk of the group still going in
+    packed kernel calls of at most ``_PACK_MAX`` entries, and each walk
+    then adds its chunk and either stops, releasing its terms, or goes on
+    to the next round.  So the terms held at once do not grow with the
+    spec list.  A call pays a fixed numpy cost that dominates a chunk of
+    a few hundred terms, so a reduced price's six or seven CDFs at
+    n <= 5000 take one call, not one each, and a grid of such prices
+    shares its calls as well.  A walk adds the same terms whatever it is
+    packed with, so the result does not depend on the other specs.  A
+    spec is checked when the walks reach it: a refused one raises after
+    the groups before it have run.
     """
     out = []
-    walks = []  # (slot in out, n, p, next chunk, indices after it, terms so far, flipped)
+    group = []  # (slot in out, n, p, next chunk, indices after it, terms so far, flipped)
+    size = 0
     for n, p, j, upper in specs:
         _check_binom_args(n, p)
         j = as_index(j, "j")
@@ -425,7 +438,7 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
             if not 0 <= j <= n:
                 out.append(0.0)
                 continue
-            walk, size = range(j, j + 1), 1
+            walk, first = range(j, j + 1), 1
         elif j < 0 or j >= n:
             out.append(1.0 if (j < 0) == upper else 0.0)
             continue
@@ -433,9 +446,20 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
             # a sum that holds the bulk is one minus the sum on its short side
             flip = j + 1 <= n * p if upper else j >= n * p
             walk = range(j + 1, n + 1) if upper != flip else range(j, -1, -1)
-            size = _first_chunk(n, p, walk)
-        walks.append((len(out), n, p, walk[:size], walk[size:], [], flip))
+            first = _first_chunk(n, p, walk)
+        if group and size + first > _PACK_MAX:
+            _run_walks(group, out)
+            group, size = [], 0
+        group.append((len(out), n, p, walk[:first], walk[first:], [], flip))
+        size += first
         out.append(math.nan)
+    _run_walks(group, out)
+    return out
+
+
+def _run_walks(walks: list[tuple], out: list[float]) -> None:
+    """Walk one group of sums to their ends, in rounds, and write each
+    result into its slot of out."""
     while walks:
         going = []
         for pack in _packs(walks):
@@ -447,11 +471,11 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
                 if not rest or (ratio < 1.0 and
                                 summed[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
                     out[slot] = 1.0 - partial if flip else min(partial, 1.0)
+                    summed.clear()  # now, not when the round's walks are dropped
                 else:
                     size = _chunk_cap(n, p)
                     going.append((slot, n, p, rest[:size], rest[size:], summed, flip))
         walks = going
-    return out
 
 
 def _step_ratio(n: int, p: float, k: int, step: int) -> float:

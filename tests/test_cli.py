@@ -399,7 +399,7 @@ class TestMainErrors:
         """A grid that runs past CDF_MAX_N is refused before its first n,
         which is within the cap, is priced."""
         calls = []
-        for name in ("price_closed_reduced", "binom_cdf_exact"):
+        for name in ("price_closed_reduced", "price_closed_reduced_grid", "binom_cdf_exact"):
             monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
         assert main(args) == 3
         out, err = capsys.readouterr()

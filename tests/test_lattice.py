@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lookback import (
@@ -24,11 +24,12 @@ from lookback import (
     price_backward_induction,
     price_closed,
     price_closed_reduced,
+    price_closed_reduced_grid,
     tree_params,
 )
 from lookback import lattice, numerics
 from lookback.cli import TABLE_N_VALUES
-from lookback.errors import BudgetError, DomainError, ModelError
+from lookback.errors import BudgetError, DomainError, LookbackError, ModelError
 
 from .oracles import (
     closed_sum_mp,
@@ -548,6 +549,100 @@ class TestReducedBothSides:
             assert bool(means) == (rate <= 0.01)
 
 
+# (spot, sigma, rate, tau, n) of calls at emission whose log step
+# s = sigma sqrt(tau/n) is about 1.1e-5
+SMALL_STEP_CALLS = [
+    (1.5147021408700285, 0.0014859041406720694, 4.4516523936537355e-08,
+     0.017546769983361868, 316),
+    (384.1509194475397, 0.001324933496710744, 1.2609610956980443e-10,
+     0.006878952057274318, 107),
+]
+
+
+@pytest.mark.parametrize("spot,sigma,rate,tau,n", SMALL_STEP_CALLS)
+def test_small_step_at_emission_against_mp_closed_sum(spot, sigma, rate, tau, n):
+    """At emission the price is O(s sqrt(n)) of spot, and V1 - V2 - V3
+    cancels down to it, so the reduced form loses about 1/(s sqrt(n))
+    ulps: 7.2e-12 and 2.9e-12 relative on these two calls, where
+    ``price_closed`` stays within 1.3e-15."""
+    market = MarketState(spot=spot, extremum=spot, sigma=sigma, rate=rate, tau=tau)
+    ref = _closed_sum_mp(market, n, "call")
+    got = price_closed_reduced(market, n, "call")
+    assert abs(got - ref) <= 1e-11 * abs(ref), f"{(got - ref) / ref:.2e}"
+
+
+def _branches(market: MarketState, ns, side: str) -> set[str]:
+    """The branches of the reduced form that the prices of a grid take."""
+    taken = set()
+    for n in ns:
+        par = tree_params(market, n, side)
+        n_inner = n - par.j0_floor - 1
+        if n_inner < 0:
+            taken.add("n_inner < 0")
+            continue
+        if n_inner % 2 == 0:
+            taken.add("parity edge")
+        if lattice._v3_interval(market, par)[2]:
+            taken.add("direct difference")
+    return taken
+
+
+T1_FAST = dataclasses.replace(T1, rate=0.3)
+T3_FAST = dataclasses.replace(T3, rate=0.3)
+
+
+class TestReducedGrid:
+    """A grid of reduced prices from one ``binom_cdfs`` call is the loop of
+    single prices, bit for bit, and raises what that loop raises."""
+
+    @pytest.mark.parametrize("market,side,ns,branch", [
+        (T1, "call", (1, 2, 3, 7, 40), "n_inner < 0"),
+        (dataclasses.replace(T3, extremum=150.0), "put", (1, 2, 5, 8, 9), "n_inner < 0"),
+        (T1, "call", (2, 3, 4, 5, 6, 17, 1000), "parity edge"),
+        (T4, "put", (2, 3, 4, 5, 6, 999, 1000), "parity edge"),
+        (T1_FAST, "call", (3, 50, 499, 500), "direct difference"),
+        (T3_FAST, "put", (3, 50, 499, 500), "direct difference"),
+    ])
+    def test_branches_equal_the_loop(self, market, side, ns, branch):
+        assert branch in _branches(market, ns, side)
+        assert price_closed_reduced_grid(market, ns, side) == [
+            price_closed_reduced(market, n, side) for n in ns]
+
+    @settings(max_examples=40)
+    @given(market=market_strategy,
+           ns=st.lists(st.integers(min_value=1, max_value=3000), min_size=2, max_size=20,
+                       unique=True).map(sorted))
+    @example(market=T1, ns=[1, 2, 3, 7, 40])
+    @example(market=T3_FAST, ns=[3, 50, 499, 500])
+    def test_random_grids_equal_the_loop(self, market, ns):
+        side = "call" if market.extremum <= market.spot else "put"
+        try:
+            loop = [price_closed_reduced(market, n, side) for n in ns]
+        except LookbackError as exc:
+            with pytest.raises(type(exc)) as raised:
+                price_closed_reduced_grid(market, ns, side)
+            assert str(raised.value) == str(exc)
+        else:
+            assert price_closed_reduced_grid(market, ns, side) == loop
+
+    def test_empty_grid(self):
+        assert price_closed_reduced_grid(T1, [], "call") == []
+
+    @pytest.mark.parametrize("ns", [
+        (100, 400), (400, 100), (10**9 + 1, 100), (400, 10**9 + 1), (5, 5.5, 100),
+    ])
+    def test_refused_n_raises_as_the_loop(self, ns):
+        """At r = 3 on the T1 market tree_params refuses n below 286.  The
+        loop meets a refused n, or one past CDF_MAX_N, in grid order."""
+        market = dataclasses.replace(T1, rate=3.0)
+        with pytest.raises(LookbackError) as loop:
+            for n in ns:
+                price_closed_reduced(market, n, "call")
+        with pytest.raises(type(loop.value)) as grid:
+            price_closed_reduced_grid(market, ns, "call")
+        assert str(grid.value) == str(loop.value)
+
+
 class TestReducedPackedPass:
     """The CDFs of a reduced price share kernel calls of bounded size."""
 
@@ -557,6 +652,15 @@ class TestReducedPackedPass:
             kernel_calls.clear()
             price_closed_reduced(market, n, side)
             assert len(kernel_calls) == 1, f"n={n}: {kernel_calls}"
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    def test_grid_shares_kernel_calls(self, market, side, kernel_calls):
+        # a 16-n window priced one n at a time takes 16 calls
+        for start, calls in [(2, 1), (100, 2), (1000, 4)]:
+            kernel_calls.clear()
+            price_closed_reduced_grid(market, range(start, start + 16), side)
+            assert len(kernel_calls) == calls, f"start={start}: {kernel_calls}"
+            assert max(size for size, _ in kernel_calls) <= numerics._PACK_MAX
 
     @pytest.mark.parametrize("market,side", TABLE_SIDES)
     def test_packed_calls_within_cap(self, market, side, kernel_calls):

@@ -23,7 +23,7 @@ from lookback import (
     std_normal_cdf,
     std_normal_pdf,
 )
-from lookback import numerics
+from lookback import lattice, numerics
 from lookback.binom_expansion import SequenceCoeffs, cdf_expansion, complementary_expansion
 from lookback.cli import cmd_cdf_bench, cmd_figure5
 from lookback.errors import BudgetError, DomainError
@@ -309,6 +309,23 @@ class TestBinomCdfs:
         specs = [(1000, 0.5, 400, False), (999, 0.4, 440, True), (10, 0.5, 1, False)]
         got = binom_cdfs(specs)
         assert kernel_calls == [(34, True), (396, True)]
+        assert got == _one_at_a_time(specs)
+
+    @pytest.mark.parametrize("first", ["sized", 16])
+    def test_spec_list_longer_than_a_pack(self, first, kernel_calls, monkeypatch):
+        # the specs of 300 reduced prices, T1 at n = 2..301, start their
+        # walks a pack at a time; cut to 16 terms, every first chunk
+        # leaves its walk going into later rounds of its own pack
+        if first != "sized":
+            monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: first)
+        market = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
+        specs = []
+        for n in range(2, 302):
+            par = lattice.tree_params(market, n, "call")
+            specs += lattice._reduced_specs(par, lattice._v3_interval(market, par))
+        got = binom_cdfs(specs)
+        packed = [size for size, is_packed in kernel_calls if is_packed]
+        assert len(packed) >= 2 and max(packed) <= numerics._PACK_MAX
         assert got == _one_at_a_time(specs)
 
     def test_upper_cdf_bench_row_takes_one_call(self, kernel_calls):
