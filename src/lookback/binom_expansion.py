@@ -37,7 +37,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import DomainError
+from .errors import DomainError, ModelError
 from .numerics import as_index, std_normal_cdf, std_normal_pdf
 
 __all__ = [
@@ -90,7 +90,14 @@ class CdfExpansion:
 
 
 def cdf_expansion(n: int, p: float, j: int) -> CdfExpansion:
-    """Fourth-order normal approximation of P(Bin(n, p) <= j)."""
+    """Fourth-order normal approximation of P(Bin(n, p) <= j).
+
+    Refused with ModelError where its terms P_i / V^(i/2) leave the
+    float range: V^2 must not underflow to 0 and no term may pass the
+    largest float.  Both happen only at a tiny V = npq, where |y| is
+    huge (below V = 1.5e-154, |y| >= 1/(2 sqrt(V)) > 4e76 already makes
+    y^13 in P4 overflow).
+    """
     n, j = as_index(n, "n"), as_index(j, "j")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -119,7 +126,13 @@ def cdf_expansion(n: int, p: float, j: int) -> CdfExpansion:
         + pq * pq * (135.0 + (-1035.0 + (7947.0 + (-4167.0 + (560.0 - 20.0 * y2)
                               * y2) * y2) * y2) * y2) / 38880.0
     )
-    return CdfExpansion(y=y, v=v, phi_term=std_normal_cdf(y), p1=p1, p2=p2, p3=p3, p4=p4)
+    expansion = CdfExpansion(y=y, v=v, phi_term=std_normal_cdf(y), p1=p1, p2=p2, p3=p3, p4=p4)
+    if not (v * v > 0.0 and math.isfinite(expansion.value)):
+        raise ModelError(
+            f"the CDF expansion's terms P_i / V^(i/2) leave the float range at n = {n}, p = {p}, "
+            f"j = {j}: they need V^2 > 0 and every |term| <= 1.8e308; "
+            f"got V = npq = {v:.4g}, y = {y:.4g}")
+    return expansion
 
 
 @dataclass(frozen=True)

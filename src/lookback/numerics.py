@@ -12,8 +12,14 @@ decomposition
 
 where stirlerr(x) = log(x!) - log(sqrt(2 pi x) (x/e)^x) and
 bd0(x, m) = x log(x/m) + m - x is summed by a cancellation-free series
-when x is close to m.  This keeps relative error near 1e-15 for n up to
-1e6, where a plain lgamma difference loses ~5 digits.
+when x is close to m.  At the mean this keeps the relative error near
+3e-16 for n up to 1e6 (3.0e-16 at n = 1e6, p = 1/2), where a plain
+lgamma difference loses ~5 digits.  Away from the mean the error grows
+to about z sd ulps at z sd out, because the means n p and n (1 - p) are
+rounded to floats and bd0(x, m) moves by about (x - m) dm / m: 1.9e-13
+at (n, p, k) = (578742, 0.5063, 296073) and 6.4e-13 at (960681, 0.4732,
+458544), both about 8 sd out.  Carrying the means exactly is item 6 of
+ROADMAP.md.
 
 Every pmf the package evaluates comes from the one kernel
 ``_binom_pmf_log_vec``: ``binom_pmf_log`` is one entry of it and
@@ -44,17 +50,18 @@ in chunks of ceil(12 sd + 10) terms, which also cap the first.
 
 A vectorised pmf call of a few hundred terms is mostly fixed numpy
 cost, so ``binom_cdfs`` walks its CDFs in groups.  It starts walks in
-spec order until their first chunks would pass 4,096 entries and runs
-that group to its end before it starts the next.  A group goes in
-rounds: each round evaluates the next chunk of every sum of the group
-still going in shared calls, with the (n, p) constants of the kernel
-repeated per entry.  A walk's terms are released as soon as it ends,
-so a spec list as long as a whole grid of reduced prices holds the
-terms of one group at a time.  A call holds at most 4,096 entries: one merged call
-over 7 x 6,000 entries takes 3.1 ms against 1.7 ms for seven separate
-calls (2-CPU x86 VM, n = 1e6), as its temporaries spill out of L2.
-Each sum still adds the same terms, so the packed and one-at-a-time
-results are the same bit for bit.
+spec order until their first chunks would pass 4,096 entries and sums
+that group in one pass before it starts the next: the first chunks
+share one kernel call, with the (n, p) constants of the kernel repeated
+per entry, and each walk then applies its tail rule.  The rare walk
+that goes on sums its later chunks alone, one call per chunk.  A
+group's terms are released once it is summed, so a spec list as long
+as a whole grid of reduced prices holds the terms of one group at a
+time.  A shared call holds at most 4,096 entries: one merged call over
+7 x 6,000 entries takes 3.1 ms against 1.7 ms for seven separate calls
+(2-CPU x86 VM, n = 1e6), as its temporaries spill out of L2.  Each sum
+still adds the same terms, so the packed and one-at-a-time results are
+the same bit for bit.
 
 The pmf and the CDFs take n up to ``CDF_MAX_N`` = 1e9 and raise
 ``BudgetError`` above it.
@@ -302,7 +309,12 @@ def _bd0_vec(xs: np.ndarray, m: float | np.ndarray) -> np.ndarray:
     far = ~near
     if far.any():
         xf, mf = xs[far], _at(m, far)
-        out[far] = xf * np.log(xf / mf) + mf - xf
+        with np.errstate(over="ignore"):
+            log_ratio = np.log(xf / mf)
+        # x/m overflows only at a subnormal mean: there log x - log m
+        over = np.isinf(log_ratio)
+        log_ratio[over] = np.log(xf[over]) - np.log(_at(mf, over))
+        out[far] = xf * log_ratio + mf - xf
     if near.any():
         x, mn = xs[near], _at(m, near)
         v = (x - mn) / (x + mn)
@@ -413,22 +425,20 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
 
     The walks start a group at a time, in spec order.  A group takes
     walks until their first chunks would pass ``_PACK_MAX`` entries (a
-    longer first chunk makes a group of its own) and runs to its end
-    before the next group starts.  It goes in rounds: each round
-    evaluates the next chunk of every walk of the group still going in
-    packed kernel calls of at most ``_PACK_MAX`` entries, and each walk
-    then adds its chunk and either stops, releasing its terms, or goes on
-    to the next round.  So the terms held at once do not grow with the
-    spec list.  A call pays a fixed numpy cost that dominates a chunk of
-    a few hundred terms, so a reduced price's six or seven CDFs at
-    n <= 5000 take one call, not one each, and a grid of such prices
-    shares its calls as well.  A walk adds the same terms whatever it is
-    packed with, so the result does not depend on the other specs.  A
-    spec is checked when the walks reach it: a refused one raises after
-    the groups before it have run.
+    longer first chunk makes a group of its own) and is summed in one
+    pass before the next group starts: its first chunks share one kernel
+    call, and each walk then either stops or, rarely, goes on alone,
+    one kernel call per later chunk.  So the terms held at once do not
+    grow with the spec list.  A call pays a fixed numpy cost that
+    dominates a chunk of a few hundred terms, so a reduced price's six or
+    seven CDFs at n <= 5000 take one call, not one each, and a grid of
+    such prices shares its calls as well.  A walk adds the same terms
+    whatever it is packed with, so the result does not depend on the
+    other specs.  A spec is checked when the walks reach it: a refused
+    one raises after the groups before it have run.
     """
     out = []
-    group = []  # (slot in out, n, p, next chunk, indices after it, terms so far, flipped)
+    group = []  # (slot in out, n, p, walk, first-chunk length, flipped)
     size = 0
     for n, p, j, upper in specs:
         _check_binom_args(n, p)
@@ -450,32 +460,29 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
         if group and size + first > _PACK_MAX:
             _run_walks(group, out)
             group, size = [], 0
-        group.append((len(out), n, p, walk[:first], walk[first:], [], flip))
+        group.append((len(out), n, p, walk, first, flip))
         size += first
         out.append(math.nan)
-    _run_walks(group, out)
+    if group:
+        _run_walks(group, out)
     return out
 
 
-def _run_walks(walks: list[tuple], out: list[float]) -> None:
-    """Walk one group of sums to their ends, in rounds, and write each
-    result into its slot of out."""
-    while walks:
-        going = []
-        for pack in _packs(walks):
-            for walk, terms in zip(pack, _chunk_terms(pack)):
-                slot, n, p, chunk, rest, summed, flip = walk
-                summed += terms.tolist()
-                partial = math.fsum(summed)
-                ratio = _step_ratio(n, p, chunk[-1], chunk.step)
-                if not rest or (ratio < 1.0 and
-                                summed[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
-                    out[slot] = 1.0 - partial if flip else min(partial, 1.0)
-                    summed.clear()  # now, not when the round's walks are dropped
-                else:
-                    size = _chunk_cap(n, p)
-                    going.append((slot, n, p, rest[:size], rest[size:], summed, flip))
-        walks = going
+def _run_walks(group: list[tuple], out: list[float]) -> None:
+    """Sum one group of walks and write each result into its slot of out.
+    The first chunks share one kernel call; a walk that goes on past its
+    first chunk sums each later chunk in a call of its own."""
+    firsts = _chunk_terms([(n, p, walk[:first]) for _, n, p, walk, first, _ in group])
+    for (slot, n, p, walk, _, flip), terms in zip(group, firsts):
+        summed = terms.tolist()
+        while True:
+            end, partial = len(summed), math.fsum(summed)
+            ratio = _step_ratio(n, p, walk[end - 1], walk.step)
+            if end == len(walk) or (ratio < 1.0 and
+                                    summed[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
+                break
+            summed += _chunk_terms([(n, p, walk[end:end + _chunk_cap(n, p)])])[0].tolist()
+        out[slot] = 1.0 - partial if flip else min(partial, 1.0)
 
 
 def _step_ratio(n: int, p: float, k: int, step: int) -> float:
@@ -510,7 +517,7 @@ def _first_chunk(n: int, p: float, walk: range) -> int:
     stopping rule also weighs the partial sum and the factor
     (1 - r) / r, which move the stop by a term or so; a pad of two terms
     covers them.  With a pad of one, 8 of the 51,700 grid sums of the
-    module docstring needed a second round; with two, none did.
+    module docstring needed a second chunk; with two, none did.
     """
     a = walk[0]
     # lam = -log r_a, inf where the next term is 0
@@ -528,31 +535,15 @@ def _first_chunk(n: int, p: float, walk: range) -> int:
     return min(math.ceil(m) + _FIRST_CHUNK_PAD, _chunk_cap(n, p))
 
 
-def _packs(walks: list[tuple]) -> list[list[tuple]]:
-    """The walks in order, in runs whose next chunks hold at most
-    ``_PACK_MAX`` entries together; a longer chunk runs alone."""
-    packs: list[list[tuple]] = []
-    size = 0
-    for walk in walks:
-        width = len(walk[3])  # the next chunk
-        if not packs or size + width > _PACK_MAX:
-            packs.append([])
-            size = 0
-        packs[-1].append(walk)
-        size += width
-    return packs
-
-
-def _chunk_terms(pack: list[tuple]) -> list[np.ndarray]:
-    """pmf terms of each walk's next chunk, from one kernel call over the
-    chunks laid end to end with their (n, p) constants repeated per entry.
-    A lone walk passes its index range and constants as they are, the
-    kernel's cheaper form.
+def _chunk_terms(chunks: list[tuple[int, float, range]]) -> list[np.ndarray]:
+    """pmf terms of each (n, p, chunk) of chunks, from one kernel call over
+    the chunks laid end to end with their (n, p) constants repeated per
+    entry.  A lone chunk passes its index range and constants as they are,
+    the kernel's cheaper form.
     """
-    ks = [np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
-          for _, _, _, chunk, *_ in pack]
-    consts = _pmf_consts([(n, p) for _, n, p, *_ in pack])
-    if len(pack) == 1:
+    ks = [np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64) for _, _, chunk in chunks]
+    consts = _pmf_consts([(n, p) for n, p, _ in chunks])
+    if len(chunks) == 1:
         return [np.exp(_binom_pmf_log_vec(ks[0], consts[:, 0]))]
     widths = [len(k) for k in ks]
     per_entry = np.repeat(consts, widths, axis=1)

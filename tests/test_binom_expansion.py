@@ -18,7 +18,7 @@ from lookback import (
     complementary_expansion,
     std_normal_pdf,
 )
-from lookback.errors import DomainError
+from lookback.errors import DomainError, ModelError
 
 from .quadrature import (
     QuadratureSpec,
@@ -29,6 +29,7 @@ from .quadrature import (
 )
 
 SCAN_GRID = (200, 400, 800, 1600, 3200, 6400)
+FIXED_Y_GRID = (*SCAN_GRID, 12800)
 # Oscillatory integrands at n ~ 200 need a deeper subdivision budget than
 # the default spec.
 USPENSKY_SPEC = QuadratureSpec(max_subdivisions=400)
@@ -89,6 +90,14 @@ class TestCdfExpansion:
         with pytest.raises(DomainError):
             cdf_expansion(*args)
 
+    @pytest.mark.parametrize("args", [(3123, 2.49e-162, 90), (100, 1e-300, 50), (100, 1e-100, 50)])
+    def test_terms_past_the_float_range_are_refused(self, args):
+        # a tiny V = npq puts |y| near 1/(2 sqrt(V)): y^13 in P4 overflows
+        # (nan before), and below V = 1.5e-154 V^2 underflows to 0 (a
+        # ZeroDivisionError before)
+        with pytest.raises(ModelError, match="float range"):
+            cdf_expansion(*args)
+
     @pytest.mark.parametrize(
         "label,p_of_n",
         [
@@ -127,6 +136,44 @@ class TestCdfExpansion:
             worst4 = max(worst4, abs(exact - r.value) * n**2.5)
             worst2 = max(worst2, abs(exact - r.truncated(2)) * n**2.5)
         assert worst2 >= 5.0 * worst4, f"{label}: 2-term {worst2} vs 4-term {worst4}"
+
+
+def _fixed_y_errors(p: float, a: float) -> list[tuple[float, float]]:
+    """(4-term, 2-term) errors against the exact CDF at j = floor(n p + a sd)
+    for each n of FIXED_Y_GRID; y stays near a as n grows."""
+    errors = []
+    for n in FIXED_Y_GRID:
+        j = math.floor(n * p + a * math.sqrt(n * p * (1.0 - p)))
+        exact, r = binom_cdf_exact(n, p, j), cdf_expansion(n, p, j)
+        errors.append((abs(exact - r.value), abs(exact - r.truncated(2))))
+    return errors
+
+
+class TestExpansionOrderAtFixedY:
+    """Where the O(n^{-5/2}) order is attained: on j = floor(n p + a sd),
+    n = 200..12800.  Off p = 1/2 the n^{5/2}-scaled error is flat
+    (max/min 1.05-1.10 measured).  At p = 1/2, q - p = 0 removes the odd
+    terms of the remainder, and the scaled error falls (6.3x to 31x
+    from n = 200 to 6400); beyond 6400 it nears the binary64 resolution
+    of the CDF.  Criterion 05's grid, j = 0.55 n, lets y grow like
+    sqrt(n), so its error falls faster than any power of n and cannot
+    show the order."""
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+    def test_scaled_error_is_flat_off_one_half(self, a):
+        scaled = [err4 * n**2.5 for n, (err4, _) in zip(FIXED_Y_GRID, _fixed_y_errors(0.3, a))]
+        assert max(scaled) <= 1.2 * min(scaled), scaled
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+    def test_scaled_error_falls_at_one_half(self, a):
+        scaled = {n: err4 * n**2.5 for n, (err4, _) in zip(FIXED_Y_GRID, _fixed_y_errors(0.5, a))}
+        assert 5.0 * scaled[6400] <= scaled[200], scaled
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    @pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+    def test_p3_p4_gain_at_6400(self, p, a):
+        err4, err2 = _fixed_y_errors(p, a)[FIXED_Y_GRID.index(6400)]
+        assert err2 >= 500.0 * err4, (err2, err4)
 
 
 class TestSequenceCoeffs:

@@ -304,6 +304,14 @@ class TestMainErrors:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ModelError"
 
+    @pytest.mark.parametrize("p_base", ["1e-300", "1e-100"])
+    def test_cdf_bench_past_the_expansion_float_range_exits_2(self, capsys, p_base):
+        code = main(["cdf-bench", "--n", "100", "--p-base", p_base, "--p-drift", "0",
+                     "--j-rule", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "ModelError"
+
     def test_bs_put_where_power_overflows_exits_0(self, capsys):
         code = main(["price", "--spot", "1", "--extremum", "1e100", "--sigma",
                      "0.2", "--rate", "0.08", "--tau", "1.27", "--side", "put",

@@ -2,7 +2,9 @@
 pricer returns a finite price inside the no-arbitrage bounds
 (0 <= call <= spot, put >= 0) or raises LookbackError.  The expansion
 c0 + c1/sqrt(n) + c2/n is an approximation, not a price, so it is held
-only to a finite value or LookbackError."""
+only to a finite value or LookbackError.  The CDF layer keeps the same
+contract over the whole (n, p) domain: every CDF and pmf lies in
+[0, 1], and the CDF expansion is finite or refused."""
 
 from __future__ import annotations
 
@@ -12,14 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lookback import (
+    CDF_MAX_N,
     MarketState,
+    binom_cdfs,
+    binom_pmf_log,
     bs_price,
+    cdf_expansion,
     expansion_coeffs,
     expansion_price,
     price_backward_induction,
     price_closed,
     price_closed_reduced,
 )
+from lookback.cli import cmd_cdf_bench
 from lookback.errors import LookbackError
 
 
@@ -71,3 +78,34 @@ def test_prices_are_finite_and_bounded_or_refused(case):
             assert price <= market.spot, (method, price, market.spot)
     value = _outcome(lambda: expansion_price(expansion_coeffs(market, side), n))
     assert value is None or math.isfinite(value), ("expansion", value)
+
+
+@st.composite
+def _cdf_args(draw):
+    """(n, p, j): n up to CDF_MAX_N, p log-uniform down to 1e-320 or
+    within 1e-16 of 1, j within 40 sd of n p or anywhere in -1..n+1."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=300),
+                       _log_uniform(1.0, CDF_MAX_N).map(int)))
+    p = draw(st.one_of(_log_uniform(1e-320, 0.999),
+                       _log_uniform(1e-16, 0.5).map(lambda t: 1.0 - t)))
+    sd = math.sqrt(n * p * (1.0 - p))
+    j = draw(st.one_of(st.floats(min_value=-40.0, max_value=40.0).map(
+                           lambda z: math.floor(n * p + z * sd)),
+                       st.integers(min_value=-1, max_value=n + 1)))
+    return n, p, j
+
+
+@settings(max_examples=150, derandomize=True)
+@given(args=_cdf_args(), j_rule=st.one_of(st.just("median"), st.floats(-0.1, 1.1)))
+def test_cdf_layer_is_finite_and_bounded_or_refused(args, j_rule):
+    n, p, j = args
+    values = _outcome(lambda: binom_cdfs([(n, p, j, False), (n, p, j, True), (n, p, j, None)]))
+    assert values is None or all(0.0 <= v <= 1.0 for v in values), (args, values)
+    log_pmf = _outcome(lambda: binom_pmf_log(n, p, min(max(j, 0), n)))
+    assert log_pmf is None or (math.isfinite(log_pmf) and log_pmf <= 0.0), (args, log_pmf)
+    value = _outcome(lambda: cdf_expansion(n, p, j).value)
+    assert value is None or math.isfinite(value), (args, value)
+    rows = _outcome(lambda: cmd_cdf_bench([n], (p, 0.0), j_rule))
+    if rows is not None:
+        (_, exact, *rest), = rows
+        assert 0.0 <= exact <= 1.0 and all(map(math.isfinite, rest)), (args, j_rule, rows)

@@ -68,3 +68,26 @@ def test_perfbench_bindings_resolve():
     missing = [(module, name) for module, name, _ in spans.BINDINGS
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert spans.BINDINGS and missing == []
+
+
+def test_tracer_only_imports_are_bound():
+    """An import kept only for the benchmark's tracer (``# noqa: F401``)
+    must name a (module, name) pair of ``perfbench/spans.py``'s BINDINGS,
+    so an import left behind when the tracer drops its binding fails
+    here.  Reads spans.py without importing it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    bindings = next(
+        {(module, name) for module, name, _ in ast.literal_eval(node.value)}
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BINDINGS"])
+    unbound = []
+    for source in sorted(SRC.rglob("*.py")):
+        module = ".".join(("lookback", *source.relative_to(SRC).with_suffix("").parts))
+        lines = source.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines), str(source))):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any("# noqa: F401" in line
+                            for line in lines[node.lineno - 1:node.end_lineno])):
+                unbound += [(module, alias.asname or alias.name) for alias in node.names
+                            if (module, alias.asname or alias.name) not in bindings]
+    assert unbound == []

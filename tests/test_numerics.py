@@ -152,6 +152,14 @@ class TestBinomPmfLog:
         with pytest.raises(DomainError):
             binom_pmf_log(*args)
 
+    @pytest.mark.parametrize("n,p,k", [(70377, 7.3e-314, 64280), (1000, 5e-324, 999),
+                                       (10**9, 3e-310, 10**8)])
+    def test_subnormal_mean(self, n, p, k):
+        # k / (n p) overflows where the mean n p is subnormal
+        with mp.workdps(40):
+            ref = mp.log(mp.binomial(n, k)) + k * mp.log(p) + (n - k) * mp.log1p(-p)
+        assert abs(binom_pmf_log(n, p, k) - ref) <= 1e-15 * abs(ref)
+
     def test_pmf_zero_outside_support(self):
         assert binom_pmf(10, 0.3, -2) == 0.0
         assert binom_pmf(10, 0.3, 12) == 0.0
@@ -293,7 +301,7 @@ class TestBinomCdfs:
         assert got == _one_at_a_time(specs)
 
     # The sized first chunk ends every sum these tests meet, so to reach a
-    # later round they cut it to 16 terms; sums of two or three terms end
+    # later chunk they cut it to 16 terms; sums of two or three terms end
     # there anyway, as their range runs out.
     def test_walk_goes_on_past_its_first_chunk(self, kernel_calls, monkeypatch):
         monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 16)
@@ -302,20 +310,11 @@ class TestBinomCdfs:
         assert kernel_calls == [(20, True), (200, False)]
         assert got == _one_at_a_time(specs)
 
-    def test_later_rounds_pack_the_walks_still_going(self, kernel_calls, monkeypatch):
-        # both long sums go on past their first chunk, and their second
-        # chunks, of ceil(12 sd + 10) terms each, share the second round's call
-        monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 16)
-        specs = [(1000, 0.5, 400, False), (999, 0.4, 440, True), (10, 0.5, 1, False)]
-        got = binom_cdfs(specs)
-        assert kernel_calls == [(34, True), (396, True)]
-        assert got == _one_at_a_time(specs)
-
     @pytest.mark.parametrize("first", ["sized", 16])
     def test_spec_list_longer_than_a_pack(self, first, kernel_calls, monkeypatch):
         # the specs of 300 reduced prices, T1 at n = 2..301, start their
         # walks a pack at a time; cut to 16 terms, every first chunk
-        # leaves its walk going into later rounds of its own pack
+        # leaves its walk going on into later chunks of its own
         if first != "sized":
             monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: first)
         market = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
@@ -395,16 +394,17 @@ class TestBinomCdfsAgainstMpmath:
     @pytest.mark.parametrize("short_first_chunk", [False, True])
     def test_poisson_like_tails(self, kernel_calls, monkeypatch, short_first_chunk):
         # at n p = 10 the log pmf falls slower than a parabola above the
-        # mean; the sized first chunk still ends every sum, and a first
-        # chunk cut to 8 terms makes a second round run
+        # mean; the sized first chunk still ends every sum, and cut to 8
+        # terms it leaves both walks of a check going on, each into one
+        # later chunk of its own
         if short_first_chunk:
             monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 8)
-        rounds = []
+        calls = []
         for j in (0, 3, 9, 10, 11, 15, 30, 60):
             kernel_calls.clear()
             self._check(1_000_000, 1e-5, j, 1e-14)
-            rounds.append(len(kernel_calls))
-        assert max(rounds) == (2 if short_first_chunk else 1)
+            calls.append(len(kernel_calls))
+        assert max(calls) == (3 if short_first_chunk else 1)
 
 
 class TestCdfMaxN:
