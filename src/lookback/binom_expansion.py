@@ -247,19 +247,32 @@ def complementary_expansion(seq: SequenceCoeffs, n: int) -> float:
 
     For the lower tail P(X <= j), write j with -1/2 in place of +1/2 in
     the j_n expansion and take 1 minus this result.
+
+    Refused with ModelError where a coefficient, a power of B_n or the
+    result leaves the float range (|value| <= 1.8e308): a huge alpha or
+    B_n, or a B_n that is not finite.
     """
     n = as_index(n, "n")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     A = seq.A
     B = seq.B_n(n)
-    sqrt_n = math.sqrt(n)
-    return std_normal_cdf(A) + std_normal_pdf(A) * (
-        B / sqrt_n
-        + (seq.C0 - seq.C2 * B**2) / n
-        + (seq.D0 - seq.D1 * B - seq.D3 * B**3) / n**1.5
-        + (seq.E0 - seq.E1 * B - seq.E2 * B**2 + seq.E4 * B**4) / n**2
-    )
+    try:
+        sqrt_n = math.sqrt(n)
+        value = std_normal_cdf(A) + std_normal_pdf(A) * (
+            B / sqrt_n
+            + (seq.C0 - seq.C2 * B**2) / n
+            + (seq.D0 - seq.D1 * B - seq.D3 * B**3) / n**1.5
+            + (seq.E0 - seq.E1 * B - seq.E2 * B**2 + seq.E4 * B**4) / n**2
+        )
+    except OverflowError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ModelError(
+            f"the complementary expansion leaves the float range at n = {n}: its "
+            f"coefficients, the powers of B_n and the result need |value| <= 1.8e308; "
+            f"got A = {A:.4g}, B_n = {B:.4g}")
+    return value
 
 
 def cdf_limit_classifier(p0: float, j_ratio: float) -> CdfLimit:

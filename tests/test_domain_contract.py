@@ -4,7 +4,8 @@ pricer returns a finite price inside the no-arbitrage bounds
 c0 + c1/sqrt(n) + c2/n is an approximation, not a price, so it is held
 only to a finite value or LookbackError.  The CDF layer keeps the same
 contract over the whole (n, p) domain: every CDF and pmf lies in
-[0, 1], and the CDF expansion is finite or refused."""
+[0, 1], and the CDF and complementary expansions are finite or
+refused."""
 
 from __future__ import annotations
 
@@ -20,12 +21,14 @@ from lookback import (
     binom_pmf_log,
     bs_price,
     cdf_expansion,
+    complementary_expansion,
     expansion_coeffs,
     expansion_price,
     price_backward_induction,
     price_closed,
     price_closed_reduced,
 )
+from lookback.binom_expansion import SequenceCoeffs
 from lookback.cli import cmd_cdf_bench
 from lookback.errors import LookbackError
 
@@ -95,9 +98,22 @@ def _cdf_args(draw):
     return n, p, j
 
 
+@st.composite
+def _sequence_coeffs(draw):
+    """SequenceCoeffs with each coefficient, and the constant b_n, either
+    in [-3, 3] or any float, huge, infinite and nan included."""
+    def coeff():
+        return draw(st.one_of(st.floats(-3.0, 3.0), st.floats()))
+    names = ("alpha", "beta", "gamma", "delta", "epsilon", "a", "c", "d", "e")
+    fields = {name: coeff() for name in names}
+    b = coeff()
+    return SequenceCoeffs(b_n=lambda n: b, **fields)
+
+
 @settings(max_examples=150, derandomize=True)
-@given(args=_cdf_args(), j_rule=st.one_of(st.just("median"), st.floats(-0.1, 1.1)))
-def test_cdf_layer_is_finite_and_bounded_or_refused(args, j_rule):
+@given(args=_cdf_args(), j_rule=st.one_of(st.just("median"), st.floats(-0.1, 1.1)),
+       seq=_sequence_coeffs())
+def test_cdf_layer_is_finite_and_bounded_or_refused(args, j_rule, seq):
     n, p, j = args
     values = _outcome(lambda: binom_cdfs([(n, p, j, False), (n, p, j, True), (n, p, j, None)]))
     assert values is None or all(0.0 <= v <= 1.0 for v in values), (args, values)
@@ -105,6 +121,8 @@ def test_cdf_layer_is_finite_and_bounded_or_refused(args, j_rule):
     assert log_pmf is None or (math.isfinite(log_pmf) and log_pmf <= 0.0), (args, log_pmf)
     value = _outcome(lambda: cdf_expansion(n, p, j).value)
     assert value is None or math.isfinite(value), (args, value)
+    value = _outcome(lambda: complementary_expansion(seq, n))
+    assert value is None or math.isfinite(value), (n, seq, value)
     rows = _outcome(lambda: cmd_cdf_bench([n], (p, 0.0), j_rule))
     if rows is not None:
         (_, exact, *rest), = rows

@@ -310,6 +310,81 @@ class TestBinomCdfs:
         assert kernel_calls == [(20, True), (200, False)]
         assert got == _one_at_a_time(specs)
 
+    # Walks of one (n, p) whose first chunks overlap or touch sum from one
+    # merged segment: a lone segment takes the kernel's unpacked form.
+    @pytest.mark.parametrize("n,p", [(1000, 0.5), (100_000, 0.3)])
+    def test_upper_walks_from_j_and_j_plus_1_share_a_segment(self, n, p, kernel_calls):
+        j = int(n * p + 2 * math.sqrt(n * p * (1 - p)))
+        specs = [(n, p, j, True), (n, p, j + 1, True)]
+        got = binom_cdfs(specs)
+        (entries, packed), = kernel_calls
+        assert not packed
+        kernel_calls.clear()
+        assert got == _one_at_a_time(specs)
+        (first, _), (second, _) = kernel_calls
+        assert entries == max(first, second + 1)
+
+    def test_down_walk_and_single_term_share_a_segment(self, kernel_calls):
+        n, p, j = 5000, 0.4, 1900
+        specs = [(n, p, j, False), (n, p, j - 7, None), (n, p, j + 1, None)]
+        got = binom_cdfs(specs)
+        (entries, packed), = kernel_calls
+        assert not packed
+        assert got == _one_at_a_time(specs)
+        kernel_calls.clear()
+        _one_at_a_time(specs[:1])
+        assert entries == kernel_calls[0][0] + 1
+
+    def test_walks_go_on_past_a_merged_segment(self, kernel_calls, monkeypatch):
+        monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 16)
+        specs = [(1000, 0.5, 400, False), (1000, 0.5, 401, False), (1000, 0.5, 395, None),
+                 (1000, 0.5, 599, True)]
+        got = binom_cdfs(specs)
+        # one packed call over 17 + 16 entries, then each walk's later chunk
+        assert kernel_calls[0] == (33, True)
+        assert [packed for _, packed in kernel_calls[1:]] == [False] * 3
+        assert got == _one_at_a_time(specs)
+
+    def test_lone_segment_passes_the_cap(self, kernel_calls):
+        # a down walk from n/2 - 1 and an up walk from n/2 + 1, bridged
+        # by the term at n/2: one segment of about 18 sd
+        n = 1_000_000
+        specs = [(n, 0.5, n // 2 - 1, False), (n, 0.5, n // 2, None), (n, 0.5, n // 2, True)]
+        got = binom_cdfs(specs)
+        (entries, packed), = kernel_calls
+        assert not packed and entries > numerics._PACK_MAX
+        assert got == _one_at_a_time(specs)
+
+    # at emission (extremum = spot) and on the T1 and T3 markets, where a
+    # large f puts the sums at j2 - 1 apart and V3's difference is direct
+    @pytest.mark.parametrize("rate,side,extremum", [
+        (0.08, "call", 80.0), (0.0, "call", 80.0), (0.08, "put", 80.0), (0.0, "put", 80.0),
+        (0.08, "call", 60.0), (0.08, "put", 100.0),
+    ])
+    @pytest.mark.parametrize("n", [1000, 10**5, 10**6])
+    def test_reduced_price_evaluates_each_entry_once(self, rate, side, extremum, n,
+                                                     kernel_calls):
+        # the union of the specs' first chunks, each placed from its entry
+        # count in a call of its own, against the entries of the price
+        market = MarketState(spot=80.0, extremum=extremum, sigma=0.2, rate=rate, tau=1.27)
+        par = lattice.tree_params(market, n, side)
+        specs = lattice._reduced_specs(par, lattice._v3_interval(market, par))
+        held = {}
+        for m, p, j, upper in specs.values():
+            kernel_calls.clear()
+            _one_at_a_time([(m, p, j, upper)])
+            (entries, _), = kernel_calls
+            if upper is None:
+                lo = j
+            elif (j + 1 > m * p) if upper else (j >= m * p):
+                lo = j + 1
+            else:
+                lo = j + 1 - entries
+            held.setdefault((m, p), set()).update(range(lo, lo + entries))
+        kernel_calls.clear()
+        lattice.price_closed_reduced(market, n, side)
+        assert sum(entries for entries, _ in kernel_calls) == sum(map(len, held.values()))
+
     @pytest.mark.parametrize("first", ["sized", 16])
     def test_spec_list_longer_than_a_pack(self, first, kernel_calls, monkeypatch):
         # the specs of 300 reduced prices, T1 at n = 2..301, start their
@@ -321,7 +396,7 @@ class TestBinomCdfs:
         specs = []
         for n in range(2, 302):
             par = lattice.tree_params(market, n, "call")
-            specs += lattice._reduced_specs(par, lattice._v3_interval(market, par))
+            specs += lattice._reduced_specs(par, lattice._v3_interval(market, par)).values()
         got = binom_cdfs(specs)
         packed = [size for size, is_packed in kernel_calls if is_packed]
         assert len(packed) >= 2 and max(packed) <= numerics._PACK_MAX
