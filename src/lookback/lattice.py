@@ -89,6 +89,10 @@ LEVEL_SNAP = 1e-9
 # whole grid 1..N costs O(N^2) either way.
 TREE_MAX_N = 5000
 
+# Steps of the tree whose slice views are built together, so that a step
+# pays only for its ufunc calls; 32 to 256 time the same.
+_TREE_BLOCK = 64
+
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -602,70 +606,106 @@ def _reduced_price(market: MarketState, par: TreeParams,
     return _signed_price(par, spot, v1 - v2 - v3)
 
 
+def _step_back(col: np.ndarray, lane: int, ghosts: bool, start: int, top: int, end: int,
+               w_up: np.float64, w_dn: np.float64) -> np.ndarray:
+    """Step ``col``, the values at time top + 1, back to time ``end`` and
+    return the array that then holds them.
+
+    The step to time t writes the window [lane, start + lane t + 1) with
+    ghosts and [start - t, start + t + 1) without, each cell becoming
+    w_up x[i + lane] + w_dn x[i - lane]; with ghosts, cells 0 .. lane - 1
+    take the value of cell lane first.  A window's cells read only cells
+    of the window one step later, or ghosts.  Each block of _TREE_BLOCK
+    steps builds its views once, for both ping-pong directions, over the
+    window of its largest t, so a step costs the ghost copy and three
+    ufunc calls.  The cells that the block's later steps write outside
+    their own windows are read by no cell inside them; both arrays start
+    as copies of the same finite values, so those cells stay finite too.
+    """
+    # Two arrays take turns as source and target, so the loop allocates
+    # nothing: fresh per-step temporaries land on whatever alignment
+    # malloc gives them, and their speed varied by 1.6x with it.
+    new, scratch = col.copy(), np.empty_like(col)
+    for t in range(top, end - 1, -_TREE_BLOCK):
+        lo, hi = (lane if ghosts else start - t), start + lane * t + 1
+        tmp = scratch[lo:hi]
+        views = [(src[:lane if ghosts else 0], src[lane:lane + 1], dst[lo:hi],
+                  src[lo + lane:hi + lane], src[lo - lane:hi - lane])
+                 for src, dst in ((col, new), (new, col))]
+        steps = min(_TREE_BLOCK, t - end + 1)
+        for k in range(steps):
+            ghost, g0, out, up, dn = views[k & 1]
+            ghost[...] = g0
+            np.multiply(up, w_up, out)
+            np.multiply(dn, w_dn, tmp)
+            np.add(out, tmp, out)
+        if steps & 1:
+            col, new = new, col
+    return col
+
+
 def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     """Risk-neutral backward induction on the level lattice.
 
-    One float64 column holds the values, f = j0_floor.  A fractional
-    start that paths can be absorbed from (f < n) holds
+    f = j0_floor.  At time t (t steps after the start) only levels within
+    t of the start can reach it, so each step updates a window of cells
+    that holds those levels; ``_step_back`` runs every layout below.
 
-        [ghost, G_0 ... G_{n-f-1}, ghost, F_0 ... F_{f+n}]
+    A fractional start that paths can be absorbed from (f < n) has two
+    level sets: G over the integer levels an absorbed path can end on,
+    and F over the fractional levels j0_frac + g.  At time t the start
+    reaches G_0 .. G_{t-f-1} and F_{max(0, f-t)} .. F_{f+t}.  While
+    t >= f the two sets are interleaved in one lane-2 array, G_g at
+    2(g + 1) and F_g at 2(g + 1) + 1.  A down move from integer 0 stays
+    at 0 and one from F_0 is absorbed at 0, so both ghost cells 0 and 1
+    hold G_0, and every cell steps by new[i] = w_up x[i+2] + w_dn x[i-2]
+    over the window [2, 2(f + t + 2)).  The window also holds
+    G_{t-f} .. G_{f+t}, which no path from the start reaches; they read
+    only G cells, and no reachable cell reads them.  Before time f no
+    path reaches an integer level, so at t = f the cells F_0 .. F_{2f}
+    are copied out of the odd lane once and stepped alone, 2t + 1 of
+    them at time t and no ghosts.  In all a price steps about
+    n^2 + 2fn - 2f^2 cells; G and F end to end in one column would step
+    n + t + 2 a step, about 1.5 n^2.
 
-    with G over the integer levels 0..n-f-1 an absorbed path can end on
-    and F over the fractional levels j0_frac + g.  A down move from
-    integer 0 stays at 0 and one from F_0 is absorbed at 0, so both
-    ghost cells hold G_0, refreshed before each step, and every cell then
-    steps by the same stencil new[i] = w_up x[i+1] + w_dn x[i-1].  An
-    integer start holds [ghost, G_0 ... G_{f+n}].  A start that no path
-    can be absorbed from (f >= n: absorption takes f + 1 down moves)
-    holds its own levels f - n .. f + n and no ghosts.
+    An integer start holds [ghost, G_0 ... G_{f+n}] and steps G_0 ..
+    G_{f+t} while t >= f; at t = f it copies G_0 .. G_{2f} out and steps
+    them alone like F, about n(f + n/2) - f^2/2 cells in all.  A start
+    that no path can be absorbed from (f >= n: absorption takes f + 1
+    down moves) holds its own levels f - n .. f + n, no ghosts, and steps
+    the 2t + 1 within t of the start, about n^2 cells.  The G lane's unreached cells run up
+    to level f + n, below F's top level, so ``_payoffs`` refuses the same
+    markets as with G over 0 .. n - f - 1 alone.
 
-    At time t (t steps after the start) only levels within t of the
-    start can reach it, so the step to time t updates one slice that
-    ends at the start's level f + t (and, without ghosts, begins at
-    f - t).  The slice shrinks by one cell a step, so every cell it
-    reads is a ghost or was written by the step before.  G_{n-f-1} reads the F ghost
-    as its upper neighbour, but an integer level g is reachable at time
-    t only for g <= t - f - 1, so no reachable cell depends on it.  The
-    cells step by the pair (w_up, w_dn), which sums to 1 exactly, over
-    the call's payoffs; a put is sign(s) times that, on its own walk.  No
-    per-step discounting: the adjusted weights already price relative to
-    the spot numeraire (q_adj + (1 - q_adj) = 1 absorbs e^{-r tau/n}), so
-    the price is simply spot times the start-level expectation.
+    The cells step by the pair (w_up, w_dn), which sums to 1 exactly,
+    over the call's payoffs; a put is sign(s) times that, on its own
+    walk.  No per-step discounting: the adjusted weights already price
+    relative to the spot numeraire (q_adj + (1 - q_adj) = 1 absorbs
+    e^{-r tau/n}), so the price is simply spot times the start-level
+    expectation.
     """
     par = tree_params(market, n, side)
     if n > TREE_MAX_N:
         raise BudgetError(
             f"price_backward_induction is limited to n <= {TREE_MAX_N}, got {n}"
         )
-    floor, frac = par.j0_floor, par.j0_frac
-    w_up, w_dn = par.w_up, par.w_dn
-    # (levels, ghost indices, index of the start level); a ghost's level
-    # is 0 and its value is refreshed before it is read
-    if floor >= n:
-        levels = frac + np.arange(floor - n, floor + n + 1, dtype=np.float64)
-        ghosts, start = (), n
-    elif frac > 0.0:
-        levels = np.concatenate(([0.0], np.arange(n - floor, dtype=np.float64), [0.0],
-                                 frac + np.arange(floor + n + 1, dtype=np.float64)))
-        ghosts, start = (0, n - floor + 1), n + 2
+    floor, frac, s = par.j0_floor, par.j0_frac, par.s
+    w = np.float64(par.w_up), np.float64(par.w_dn)
+    # A ghost's level is -1 (or -1 + frac); its value is replaced by G_0
+    # before it is read.
+    if floor < n and frac > 0.0:
+        g = np.arange(-1.0, floor + n + 1)
+        col = _step_back(_payoffs(np.add.outer(g, (0.0, frac)).ravel(), s),
+                         2, True, 2 * floor + 3, n - 1, floor, *w)
+        col = col[3:4 * floor + 4:2].copy()
+    elif floor < n:
+        col = _step_back(_payoffs(np.arange(-1.0, floor + n + 1), s),
+                         1, True, floor + 1, n - 1, floor, *w)
+        col = col[1:2 * floor + 2].copy()
     else:
-        levels = np.concatenate(([0.0], np.arange(floor + n + 1, dtype=np.float64)))
-        ghosts, start = (0,), floor + 1
-
-    # Two columns take turns as source and target, so the loop allocates
-    # nothing: fresh per-step temporaries land on whatever alignment
-    # malloc gives them, and their speed varied by 1.6x with it.
-    col = _payoffs(levels, par.s)
-    new = np.empty_like(col)
-    scratch = np.empty_like(col)
-    for t in range(n - 1, -1, -1):
-        for i in ghosts:
-            col[i] = col[1]
-        lo = 1 if ghosts else start - t
-        hi = start + t + 1
-        out, tmp = new[lo:hi], scratch[lo:hi]
-        np.multiply(col[lo + 1:hi + 1], w_up, out=out)
-        np.multiply(col[lo - 1:hi - 1], w_dn, out=tmp)
-        out += tmp
-        col, new = new, col
-    return math.copysign(market.spot, par.s) * float(col[start])
+        col = _payoffs(frac + np.arange(floor - n, floor + n + 1, dtype=np.float64), s)
+    # col holds levels f - m .. f + m at time m = min(f, n); before time m
+    # no path reaches level 0, so they step to the start, cell m, without
+    # ghosts
+    m = len(col) // 2
+    return math.copysign(market.spot, s) * float(_step_back(col, 1, False, m, m - 1, 0, *w)[m])

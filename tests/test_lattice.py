@@ -712,20 +712,41 @@ class TestPriceBackwardInduction:
     @pytest.mark.parametrize("side,rate", [("call", 0.0), ("call", 0.08),
                                            ("put", 0.0), ("put", 0.08)])
     def test_matches_dense_oracle_bit_for_bit(self, side, rate):
-        """The banded single-column tree returns exactly the float of a
-        tree that steps every level from 0 up in plain Python: emission,
-        integer and fractional starts, starts just below and above n, and
-        starts no path can be absorbed from."""
+        """The banded tree returns exactly the float of a tree that steps
+        every level from 0 up in plain Python: emission, integer and
+        fractional starts, starts just below and above n, and starts no
+        path can be absorbed from.  From n = block - 1 on, n sits just
+        below, at and just above a block of steps and past two of them,
+        and the switch at t = f of an integer or fractional start to its
+        cells within t of the start alone falls at a block's edge (n - f
+        a multiple of the block) or inside one; f = block - 1 and n - 1
+        give those cells one block or more of their own."""
         sigma, tau = 0.3, 0.5
-        for n in range(1, 41):
+        block = lattice._TREE_BLOCK
+        grid = [(n, (0, 3, 2.4, n - 0.5, n, n + 1.75, 2 * n + 0.5)) for n in range(1, 41)]
+        grid += [(n, (0, 1, 0.4, 1.4, block - 0.6, block - 1, n - 1, n - 0.6, n + 0.4))
+                 for n in (block - 1, block, block + 1, 2 * block + 1, 2 * block + 5)]
+        for n, starts in grid:
             s = sigma * math.sqrt(tau / n)
-            for j0 in (0, 3, 2.4, n - 0.5, n, n + 1.75, 2 * n + 0.5):
+            for j0 in starts:
                 ratio = math.exp(j0 * s)
                 market = MarketState(spot=100.0, extremum=100.0 / ratio if side == "call"
                                      else 100.0 * ratio, sigma=sigma, rate=rate, tau=tau)
                 got = price_backward_induction(market, n, side)
                 want = dense_backward_induction(market, n, side)
                 assert got == want, f"n={n}, j0={j0}: {got!r} vs {want!r}"
+
+    def test_block_length_leaves_the_bits_alone(self, monkeypatch):
+        """The block length only groups steps under one set of views: at
+        1, 2 and 3 steps a block the tree returns the default's floats."""
+        emission = MarketState(spot=80.0, extremum=80.0, sigma=0.2, rate=0.08, tau=1.27)
+        cases = [*TABLE_SIDES, (emission, "call"), (emission, "put")]
+        ns = (1, 7, 130, 500, 2000)
+        want = [price_backward_induction(m, n, side) for m, side in cases for n in ns]
+        for block in (1, 2, 3):
+            monkeypatch.setattr(lattice, "_TREE_BLOCK", block)
+            got = [price_backward_induction(m, n, side) for m, side in cases for n in ns]
+            assert got == want, f"block {block}"
 
     @pytest.mark.parametrize("side,extremum", [("call", 1.0), ("put", 1e4)])
     def test_far_start_level_is_banded(self, side, extremum):
