@@ -691,17 +691,16 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
         )
     floor, frac, s = par.j0_floor, par.j0_frac, par.s
     w = np.float64(par.w_up), np.float64(par.w_dn)
-    # A ghost's level is -1 (or -1 + frac); its value is replaced by G_0
-    # before it is read.
-    if floor < n and frac > 0.0:
-        g = np.arange(-1.0, floor + n + 1)
-        col = _step_back(_payoffs(np.add.outer(g, (0.0, frac)).ravel(), s),
-                         2, True, 2 * floor + 3, n - 1, floor, *w)
-        col = col[3:4 * floor + 4:2].copy()
-    elif floor < n:
-        col = _step_back(_payoffs(np.arange(-1.0, floor + n + 1), s),
-                         1, True, floor + 1, n - 1, floor, *w)
-        col = col[1:2 * floor + 2].copy()
+    if floor < n:
+        # Level g of the start's own set sits at cell lane (g + 1) + lane - 1:
+        # lane 2 interleaves G and F, lane 1 holds G alone.  A ghost's
+        # level is -1 (or -1 + frac); its value is replaced by G_0 before
+        # it is read.
+        lane = 2 if frac > 0.0 else 1
+        levels = np.add.outer(np.arange(-1.0, floor + n + 1), (0.0, frac)[:lane]).ravel()
+        col = _step_back(_payoffs(levels, s), lane, True, lane * (floor + 2) - 1,
+                         n - 1, floor, *w)
+        col = col[2 * lane - 1:lane * (2 * floor + 2):lane].copy()
     else:
         col = _payoffs(frac + np.arange(floor - n, floor + n + 1, dtype=np.float64), s)
     # col holds levels f - m .. f + m at time m = min(f, n); before time m
