@@ -666,16 +666,16 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     are copied out of the odd lane once and stepped alone, 2t + 1 of
     them at time t and no ghosts.  In all a price steps about
     n^2 + 2fn - 2f^2 cells; G and F end to end in one column would step
-    n + t + 2 a step, about 1.5 n^2.
+    n + t + 2 a step, about 1.5 n^2.  The G lane's unreached cells run up
+    to level f + n, below F's top level, so ``_payoffs`` refuses the same
+    markets as with G over 0 .. n - f - 1 alone.
 
     An integer start holds [ghost, G_0 ... G_{f+n}] and steps G_0 ..
     G_{f+t} while t >= f; at t = f it copies G_0 .. G_{2f} out and steps
     them alone like F, about n(f + n/2) - f^2/2 cells in all.  A start
     that no path can be absorbed from (f >= n: absorption takes f + 1
     down moves) holds its own levels f - n .. f + n, no ghosts, and steps
-    the 2t + 1 within t of the start, about n^2 cells.  The G lane's unreached cells run up
-    to level f + n, below F's top level, so ``_payoffs`` refuses the same
-    markets as with G over 0 .. n - f - 1 alone.
+    the 2t + 1 within t of the start, about n^2 cells.
 
     The cells step by the pair (w_up, w_dn), which sums to 1 exactly,
     over the call's payoffs; a put is sign(s) times that, on its own
