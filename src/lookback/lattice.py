@@ -458,9 +458,12 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     or three up to 2e5, and from 3e5 on, where a first chunk nearly
     fills a call, six at r > 0 and four at r = 0, where 1 - w = w' and
     1 - w' = w let the lower sums share the segments of the walks from
-    j1 - 1.  This is ``price_closed_reduced_grid`` at the one n; a grid
-    makes one ``binom_cdfs`` call for all its n, and their chunks share
-    kernel calls too.  Against ``price_closed`` on the table markets at
+    j1 - 1.  On T4 at n = 1e6 it is five: the midpoint pmf, a term of
+    n - 1, sorts before the segments of n, and the first of those holds
+    4,144 entries, so the term takes a call of its own.  This is
+    ``price_closed_reduced_grid`` at the one n; a grid makes one
+    ``binom_cdfs`` call for all its n, and their chunks share kernel
+    calls too.  Against ``price_closed`` on the table markets at
     n = 1e4, 1e5 and 1e6 the result stays within 7.9e-15 relative on T1,
     2.5e-13 on T3, 5.8e-14 on T2 and 1.4e-13 on T4, and on the T1 and T3
     markets at r = 1e-8 and 1e-11 within 2.4e-13.  Against backward
@@ -481,31 +484,24 @@ def price_closed_reduced_grid(market: MarketState, n_values: Sequence[int],
     as within each price.  On the T1 and T3 markets a window of 16
     consecutive n takes 1 kernel call at n = 2..17, 2 at n = 100..115 and
     4 at n = 1000..1015, where priced one n at a time it takes 16; on T2
-    and T4, at r = 0, it takes 1, 1, and 2 (T2) or 3 (T4).  Each price
-    reads its own slice of the results, by the names of its specs, and
-    is the same, bit for bit, as when priced alone.  Per n the grid keeps
-    its ``TreeParams``, the interval of V3's mean, its specs and their
-    names until the call returns.  An n that ``tree_params`` or the CDFs
-    refuse raises what the loop of single prices would raise, before any
-    CDF is summed.
+    and T4, at r = 0, it takes 1, 1, and 2 (T2) or 3 (T4).  The specs of
+    each n stream into that call, eight per n, and each price reads its
+    eight results by position; it is the same, bit for bit, as when
+    priced alone.  Per n the grid keeps its ``TreeParams`` and the
+    interval of V3's mean until the call returns, and ``binom_cdfs`` a
+    record per walk.  An n that ``tree_params`` or the CDFs refuse raises
+    what the loop of single prices would raise, before any CDF is
+    summed.
     """
-    plans, specs = [], []
+    plans = []
     for n in n_values:
         par = tree_params(market, n, side)
         # the first spec's check, made where a loop of single prices makes it
-        _check_binom_args(par.n, par.p_up)
-        interval = _v3_interval(market, par)
-        named = _reduced_specs(par, interval)
-        specs += named.values()
-        # the names alone: a dict per n held to the end would add 1.4 MB
-        # to the peak of figure5's 4,999 prices
-        plans.append((par, interval, tuple(named), len(specs)))
-    cdf = binom_cdfs(specs)
-    prices, start = [], 0
-    for par, interval, named, end in plans:
-        prices.append(_reduced_price(market, par, interval, dict(zip(named, cdf[start:end]))))
-        start = end
-    return prices
+        _check_binom_args(par.n, par.q_adj)
+        plans.append((par, _v3_interval(market, par)))
+    cdf = binom_cdfs(spec for plan in plans for spec in _reduced_specs(*plan))
+    return [_reduced_price(market, par, interval, cdf[8 * i:8 * i + 8])
+            for i, (par, interval) in enumerate(plans)]
 
 
 def _v3_interval(market: MarketState, par: TreeParams) -> tuple[float, float, bool]:
@@ -526,45 +522,35 @@ def _v3_interval(market: MarketState, par: TreeParams) -> tuple[float, float, bo
     return width_x, half, spread > GL_MAX_SPREAD
 
 
-def _reduced_specs(par: TreeParams, interval: tuple[float, float, bool]) -> dict[str, tuple]:
-    """The ``binom_cdfs`` specs of one reduced price, by the name under
-    which ``_reduced_price`` reads each result.
-
-    Their order lets the first chunks that share pmf entries meet in one
-    group of ``binom_cdfs``, which merges them into one kernel segment.
-    The upper sums at j1 - 1 and the lower sums at j3 = j1 - 1 all walk
-    from j1 - 1 down or from j1 up, so in each weight they come next to
-    each other: w' and 1 - w, which are equal at r = 0, then 1 - w' and
-    w, equal at r = 0 too, with the parity-edge term and the direct
-    lower sum in w at j3.  The sums at j2 - 1 = j1 + f follow those of
-    their weight: at f = 0 they merge with them, and at a large f they
-    walk apart and a group between them would split the pairs.  The
-    midpoint pmf, a lone term of (n - 1, p), comes last."""
+def _reduced_specs(par: TreeParams, interval: tuple[float, float, bool]) -> tuple[tuple, ...]:
+    """The eight ``binom_cdfs`` specs of one reduced price, in the order
+    in which ``_reduced_price`` reads their results: the upper sums in w
+    and w' at j1 - 1, then at j2 - 1, the parity-edge pmf, the lower sum
+    in 1 - w' at j3 = j1 - 1, the direct lower sum in w at j3 or else the
+    midpoint pmf, a lone term of (n - 1, p), and the lower sum in 1 - w
+    at j3.  A spec whose result the price does not use sums nothing and
+    gives 0.0: the edge pmf is taken at -1 unless n - f - 1 is even, and
+    where j0 >= n (n - f - 1 < 0), j2 - 1 >= n and j3 < 0, so only the
+    first two specs sum anything."""
     n, floor = par.n, par.j0_floor
     w, wp = par.q_adj, par.p_up
     _, half, direct = interval
     j1 = n - (n + floor) // 2
     j2 = j1 + floor + 1
     j3 = j1 - 1
-    n_inner = n - floor - 1
-    if n_inner < 0:
-        return {"wp_j1": (n, wp, j1 - 1, True), "w_j1": (n, w, j1 - 1, True)}
-    specs = {"wp_j2": (n, wp, j2 - 1, True), "wp_j1": (n, wp, j1 - 1, True),
-             "low_q": (n, par.one_m_q, j3, False), "low_p": (n, par.one_m_p, j3, False),
-             "w_j1": (n, w, j1 - 1, True)}
-    if n_inner % 2 == 0:
-        specs["edge"] = (n, w, j3, None)
-    if direct:
-        specs["low_w"] = (n, w, j3, False)
-    specs["w_j2"] = (n, w, j2 - 1, True)
-    if not direct:
-        specs["mid"] = (n - 1, par.one_m_p - half, j3, None)
-    return specs
+    edge = j3 if (n - floor - 1) % 2 == 0 else -1
+    return ((n, w, j1 - 1, True), (n, wp, j1 - 1, True),
+            (n, w, j2 - 1, True), (n, wp, j2 - 1, True), (n, w, edge, None),
+            (n, par.one_m_p, j3, False),
+            (n, w, j3, False) if direct else (n - 1, par.one_m_p - half, j3, None),
+            (n, par.one_m_q, j3, False))
 
 
 def _reduced_price(market: MarketState, par: TreeParams,
-                   interval: tuple[float, float, bool], cdf: dict[str, float]) -> float:
-    """One reduced price from the results of its ``_reduced_specs``, by name."""
+                   interval: tuple[float, float, bool], cdf: Sequence[float]) -> float:
+    """One reduced price from the results of its ``_reduced_specs``, in
+    their order."""
+    w_j1, wp_j1, w_j2, wp_j2, edge_pmf, low_p, low_w_or_mid, low_q = cdf
     n, spot = par.n, market.spot
     floor = par.j0_floor
     # rc_m1 = rho c - 1
@@ -580,20 +566,21 @@ def _reduced_price(market: MarketState, par: TreeParams,
     n_inner = n - floor - 1
     # extremum/spot as c^{j0}: consistent with the snapped level
     ms_disc = math.exp(-par.j0 * par.s) * disc
-    v1 = cdf["w_j1"] - ms_disc * cdf["wp_j1"]
+    v1 = w_j1 - ms_disc * wp_j1
     if n_inner < 0:
         return _signed_price(par, spot, v1)
-    v2 = (math.exp(-(floor + 1) * log_rho) * cdf["w_j2"]
-          - ms_disc * math.exp(-(floor + 1) * log_rho_p) * cdf["wp_j2"])
+    v2 = (math.exp(-(floor + 1) * log_rho) * w_j2
+          - ms_disc * math.exp(-(floor + 1) * log_rho_p) * wp_j2)
     # parity edge term, (1 - 1/c) pmf: the top absorbed level is reached
-    # only when n - floor - 1 and the step count share parity
-    edge = -par.um1 * cdf["edge"] if n_inner % 2 == 0 else 0.0
+    # only when n - floor - 1 and the step count share parity (the pmf's
+    # slot gives 0 otherwise)
+    edge = -par.um1 * edge_pmf
     # K = e^E c + (c - 1) expm1(E)/(rho c - 1), with r tau/(rho c - 1) = n/rc_x
     big_e = -market.rate * market.tau - (floor + 2) * math.log1p(rc_m1)
     e_over_rc = -n / rc_x - (floor + 2) * log1p_ratio(rc_m1)
     k = math.exp(big_e) * c + cm1 * expm1_ratio(big_e) * e_over_rc
     if direct:
-        div = rho * cm1 / rc_m1 * (cdf["low_p"] - cdf["low_w"])
+        div = rho * cm1 / rc_m1 * (low_p - low_w_or_mid)
     else:
         mid = par.one_m_p - half
 
@@ -601,8 +588,8 @@ def _reduced_price(market: MarketState, par: TreeParams,
             return math.exp(j3 * math.log1p(off / mid)
                             + (n - 1 - j3) * math.log1p(-off / (1.0 - mid)))
 
-        div = -rho * cm1 * (width_x / rc_x) * n * cdf["mid"] * gl_mean(ratio, half)
-    v3 = rho * k * cdf["low_p"] + div - math.exp(-(floor + 1) * log_rho) * cdf["low_q"] + edge
+        div = -rho * cm1 * (width_x / rc_x) * n * low_w_or_mid * gl_mean(ratio, half)
+    v3 = rho * k * low_p + div - math.exp(-(floor + 1) * log_rho) * low_q + edge
     return _signed_price(par, spot, v1 - v2 - v3)
 
 

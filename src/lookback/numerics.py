@@ -49,24 +49,26 @@ from 1 to 1e8 ended in its first chunk.  A walk that does not goes on
 in chunks of ceil(12 sd + 10) terms, which also cap the first.
 
 A vectorised pmf call of a few hundred terms is mostly fixed numpy
-cost, so ``binom_cdfs`` walks its CDFs in groups, and a group evaluates
-each pmf entry once.  Each walk's first chunk is an interval of
-indices, and the intervals of one (n, p) that overlap or touch merge
-into one segment: the walks of a reduced price start from j1 - 1, j1
-and j1 + f, so at f = 0 their first chunks nearly coincide.  Walks
-start in spec order until the group's segments would pass 4,096
-entries, and the group is summed in one pass before the next starts:
-one kernel call covers its segments, with the (n, p) constants of the
-kernel repeated per entry, and each walk sums its own slice of the
-terms and applies its tail rule.  The rare walk that goes on sums its
-later chunks alone, one call per chunk.  A group's terms are released
-once it is summed, so a spec list as long as a whole grid of reduced
-prices holds the terms of one group at a time.  A call over two or
-more segments holds at most 4,096 entries: one merged call over
-7 x 6,000 entries takes 3.1 ms against 1.7 ms for seven separate calls
-(2-CPU x86 VM, n = 1e6), as its temporaries spill out of L2.  A lone
-segment may pass the cap, as splitting it would evaluate its shared
-entries twice.
+cost, so ``binom_cdfs`` sums many CDFs from few kernel calls, and
+evaluates each pmf entry of their first chunks once.  It checks every
+spec first and keeps one small record per walk, with its first chunk as
+an interval of indices.  It then sorts the records by (n, p, first
+index) and sweeps them into segments: the intervals of one (n, p) that
+overlap or touch merge into one.  The walks of a reduced price start
+from j1 - 1, j1 and j1 + f, so at f = 0 their first chunks nearly
+coincide.  Whole segments go, in that order, into kernel calls, with
+the (n, p) constants of the kernel repeated per entry, and each walk
+sums its own slice of its call's terms and applies its tail rule.  The
+rare walk that goes on sums its later chunks alone, one call per chunk.
+As the records are sorted, the order of the specs changes neither
+which entries are evaluated nor how many kernel calls run.  A call's
+terms are released once it is summed, so a spec list as long as a
+whole grid of reduced prices holds the terms of one call at a time,
+besides the records.  A call over two or more segments holds at most
+4,096 entries: one merged call over 7 x 6,000 entries takes 3.1 ms
+against 1.7 ms for seven separate calls (2-CPU x86 VM, n = 1e6), as
+its temporaries spill out of L2.  A lone segment may pass the cap, as
+splitting it would evaluate its shared entries twice.
 
 A walk sums its slice through a ``memoryview``, from its start
 outward, so a down walk reads its slice reversed.  ``fsum`` over a
@@ -92,7 +94,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -413,12 +415,13 @@ def binom_cdf_complement(n: int, p: float, j: int) -> float:
     return binom_cdfs([(n, p, j, True)])[0]
 
 
-def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[float]:
+def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[float]:
     """Several CDFs at once: for each (n, p, j, upper) in specs, the upper
     tail sum of ``binom_cdf_complement`` if upper is True, the lower CDF
     of ``binom_cdf_exact`` if False, and the single term pmf(n, p, j) of
     ``binom_pmf`` (0.0 outside 0..n) if None; those three are one-spec
-    calls of this function.
+    calls of this function.  specs is read once, so it may be a
+    generator.
 
     Each sum for 0 <= j < n is a walk over pmf(n, p, k) away from the
     mean n p: from j down for a lower sum with j < n p, from j + 1 up for
@@ -438,27 +441,27 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
     support, where r_a = 0 would stop it too, and a single term's after
     one term.
 
-    The walks start a group at a time, in spec order.  In a group the
-    first chunks of one (n, p) that overlap or touch merge into one
-    segment, and the group takes walks until its segments would pass
-    ``_PACK_MAX`` entries (a lone segment may pass it).  It is summed in
-    one pass before the next group starts: one kernel call covers its
-    segments, each walk sums its own slice of their terms, and then
-    either stops or, rarely, goes on alone, one kernel call per later
-    chunk.  So the terms held at once do not grow with the spec list,
-    and no pmf entry is evaluated twice within a group.  A call pays a
-    fixed numpy cost that dominates a chunk of a few hundred terms, so a
-    reduced price's six to eight specs at n <= 5000 take one call, not
-    one each, and a grid of such prices shares its calls as well.  A
-    walk adds the same terms whatever it is packed with, so the result
-    does not depend on the other specs.  A spec is checked when the
-    walks reach it: a refused one raises after the groups before it
-    have run.
+    Every spec is checked, and its walk's first chunk placed, before any
+    term is summed, so a refused spec raises before any kernel call.
+    The walks are then sorted by (n, p, first index) and swept into
+    segments: the first chunks of one (n, p) that overlap or touch merge
+    into one.  Whole segments go into kernel calls in that order, and a
+    call closes before a segment that would take it past ``_PACK_MAX``
+    entries (a lone segment may pass it).  Each walk sums its own slice
+    of its call's terms, and then either stops or, rarely, goes on
+    alone, one kernel call per later chunk.  So no pmf entry of a first
+    chunk is evaluated twice, and the order of the specs changes neither
+    which entries are evaluated nor how many kernel calls run.  A call
+    pays a fixed numpy cost that dominates a chunk of a few hundred
+    terms, so a reduced price's specs at n <= 5000 take one call, not
+    one each, and a grid of such prices shares its calls as well.  The
+    terms of a call are released once it is summed; the walks are held
+    as one small record each until the end.  A walk adds the same terms
+    whatever it is packed with, so the result does not depend on the
+    other specs.
     """
     out = []
-    group = []  # (slot in out, n, p, walk, first chunk's [lo, hi), flipped)
-    spans = {}  # (n, p) -> the group's first chunks of that pair, merged into segments
-    size = 0  # entries in the segments
+    walks = []  # (n, p, first chunk's least index, its length, slot in out, step, flipped)
     for n, p, j, upper in specs:
         _check_binom_args(n, p)
         j = as_index(j, "j")
@@ -467,79 +470,77 @@ def binom_cdfs(specs: Sequence[tuple[int, float, int, bool | None]]) -> list[flo
             if not 0 <= j <= n:
                 out.append(0.0)
                 continue
-            walk, first = range(j, j + 1), 1
+            lo, first, step = j, 1, 0
         elif j < 0 or j >= n:
             out.append(1.0 if (j < 0) == upper else 0.0)
             continue
         else:
             # a sum that holds the bulk is one minus the sum on its short side
             flip = j + 1 <= n * p if upper else j >= n * p
-            walk = range(j + 1, n + 1) if upper != flip else range(j, -1, -1)
-            first = _first_chunk(n, p, walk)
-        chunk = walk[:first]
-        lo, hi = (chunk.start, chunk.stop) if walk.step > 0 else (chunk.stop + 1, chunk.start + 1)
-        key = n, p
-        held = spans.get(key)
-        merged, added = _merged(held, lo, hi) if held else ([(lo, hi)], hi - lo)
-        # the cap binds a call over two or more segments, not a lone one
-        if size + added > _PACK_MAX and (len(merged) > 1 or spans.keys() - {key}):
-            _run_walks(group, spans, out)
-            group, spans, size = [], {}, 0
-            merged, added = [(lo, hi)], hi - lo
-        spans[key] = merged
-        size += added
-        group.append((len(out), n, p, walk, lo, hi, flip))
+            step = 1 if upper != flip else -1
+            walk = range(j + 1, n + 1) if step > 0 else range(j, -1, -1)
+            first = min(_first_chunk(n, p, walk), len(walk))
+            lo = j + 1 if step > 0 else j + 1 - first
+        walks.append((n, p, lo, first, len(out), step, flip))
         out.append(math.nan)
-    if group:
-        _run_walks(group, spans, out)
+    walks.sort()
+    pack, size = [], 0  # the segments of the next kernel call, and their entries
+    for segment in _segments(walks):
+        entries = segment[3] - segment[2]
+        if pack and size + entries > _PACK_MAX:
+            _run_walks(pack, out)
+            pack, size = [], 0
+        pack.append(segment)
+        size += entries
+    if pack:
+        _run_walks(pack, out)
     return out
 
 
-def _merged(segments: Sequence[tuple[int, int]], lo: int, hi: int) -> tuple[list, int]:
-    """segments, disjoint index intervals [a, b) none of which touch, with
-    [lo, hi) merged in, and the entries that adds to them."""
-    kept, absorbed = [], 0
-    for a, b in segments:
-        if b < lo or a > hi:
-            kept.append((a, b))
-        else:
-            absorbed += b - a
-            if a < lo:
-                lo = a
-            if b > hi:
-                hi = b
-    kept.append((lo, hi))
-    return kept, hi - lo - absorbed
+def _segments(walks: list[tuple]) -> Iterator[list]:
+    """The sorted walks swept into segments [n, p, least index, last
+    index + 1, walks]: the first chunks of one (n, p) that overlap or
+    touch, each segment yielded once no later walk can join it."""
+    segment = None
+    for walk in walks:
+        n, p, lo, first = walk[:4]
+        if segment and segment[0] == n and segment[1] == p and lo <= segment[3]:
+            segment[3] = max(segment[3], lo + first)
+            segment[4].append(walk)
+            continue
+        if segment:
+            yield segment
+        segment = [n, p, lo, lo + first, [walk]]
+    if segment:
+        yield segment
 
 
-def _run_walks(group: list[tuple], spans: dict, out: list[float]) -> None:
-    """Sum one group of walks and write each result into its slot of out.
-    One kernel call evaluates the group's segments, and each walk sums
-    its first chunk from a view of its segment's terms, in walk order; a
+def _run_walks(segments: list[list], out: list[float]) -> None:
+    """Sum the walks of segments and write each result into its slot of
+    out.  One kernel call evaluates the segments, and each walk sums its
+    first chunk from a view of its segment's terms, in walk order; a
     walk that goes on past its first chunk sums each later chunk in a
     call of its own."""
-    segments = [(n, p, range(a, b)) for (n, p), held in spans.items() for a, b in held]
-    terms = memoryview(_chunk_terms(segments))
-    places = {}  # (n, p) -> [(first index, last index + 1, offset of index 0 in terms)]
+    terms = memoryview(_chunk_terms([(n, p, range(a, b)) for n, p, a, b, _ in segments]))
     offset = 0
-    for n, p, segment in segments:
-        places.setdefault((n, p), []).append((segment.start, segment.stop, offset - segment.start))
-        offset += len(segment)
-    for slot, n, p, walk, lo, hi, flip in group:
-        for start, stop, shift in places[n, p]:
-            if start <= lo < stop:
-                break
-        summed = terms[lo + shift:hi + shift]
-        if walk.step < 0:
-            summed = summed[::-1]
-        while True:
-            end, partial = len(summed), math.fsum(summed)
-            ratio = _step_ratio(n, p, walk[end - 1], walk.step)
-            if end == len(walk) or (ratio < 1.0 and
-                                    summed[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
-                break
-            summed = [*summed, *_chunk_terms([(n, p, walk[end:end + _chunk_cap(n, p)])]).tolist()]
-        out[slot] = 1.0 - partial if flip else min(partial, 1.0)
+    for n, p, a, b, walks in segments:
+        for _, _, lo, first, slot, step, flip in walks:
+            summed = terms[offset + lo - a:offset + lo - a + first]
+            if step < 0:
+                summed = summed[::-1]
+            # a single term's walk (step 0) is its one index
+            walk = (range(lo, n + 1) if step > 0 else range(lo + first - 1, -1, -1) if step
+                    else range(lo, lo + 1))
+            while True:
+                end, partial = len(summed), math.fsum(summed)
+                ratio = _step_ratio(n, p, walk[end - 1], walk.step)
+                if end == len(walk) or (ratio < 1.0 and
+                                        summed[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
+                    break
+                summed = [*summed,
+                          *_chunk_terms([(n, p, walk[end:end + _chunk_cap(n, p)])]).tolist()]
+            out[slot] = 1.0 - partial if flip else min(partial, 1.0)
+        offset += b - a
 
 
 def _step_ratio(n: int, p: float, k: int, step: int) -> float:

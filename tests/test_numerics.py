@@ -3,7 +3,9 @@ log space, Hermite polynomials, and the adaptive quadrature wrapper."""
 
 from __future__ import annotations
 
+import collections
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -261,6 +263,16 @@ def _one_at_a_time(specs):
     return [_ONE_SPEC[upper](n, p, j) for n, p, j, upper in specs]
 
 
+def _t1_reduced_specs():
+    """The specs of 300 reduced prices, T1 at n = 2..301."""
+    market = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
+    specs = []
+    for n in range(2, 302):
+        par = lattice.tree_params(market, n, "call")
+        specs += lattice._reduced_specs(par, lattice._v3_interval(market, par))
+    return specs
+
+
 class TestBinomCdfs:
     """The packed entry point returns what one-at-a-time calls return, bit
     for bit, for CDF and single-term (upper=None) specs alike."""
@@ -370,9 +382,11 @@ class TestBinomCdfs:
         par = lattice.tree_params(market, n, side)
         specs = lattice._reduced_specs(par, lattice._v3_interval(market, par))
         held = {}
-        for m, p, j, upper in specs.values():
+        for m, p, j, upper in specs:
             kernel_calls.clear()
             _one_at_a_time([(m, p, j, upper)])
+            if not kernel_calls:  # a slot that sums nothing
+                continue
             (entries, _), = kernel_calls
             if upper is None:
                 lo = j
@@ -392,15 +406,33 @@ class TestBinomCdfs:
         # leaves its walk going on into later chunks of its own
         if first != "sized":
             monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: first)
-        market = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
-        specs = []
-        for n in range(2, 302):
-            par = lattice.tree_params(market, n, "call")
-            specs += lattice._reduced_specs(par, lattice._v3_interval(market, par)).values()
+        specs = _t1_reduced_specs()
         got = binom_cdfs(specs)
         packed = [size for size, is_packed in kernel_calls if is_packed]
         assert len(packed) >= 2 and max(packed) <= numerics._PACK_MAX
         assert got == _one_at_a_time(specs)
+
+    def test_spec_order_changes_no_entry_or_call(self, kernel_calls, monkeypatch):
+        # shuffled, the same specs give the same bits from the same kernel
+        # calls, and no call evaluates an (n, p, k) twice
+        specs = _t1_reduced_specs()
+        got = binom_cdfs(specs)
+        calls = list(kernel_calls)
+        assert (len(calls), sum(size for size, _ in calls)) == (21, 82_943)
+        shuffled = list(range(len(specs)))
+        random.Random(11).shuffle(shuffled)
+        chunk_terms, entries = numerics._chunk_terms, collections.Counter()
+
+        def recording(chunks):
+            entries.update((n, p, k) for n, p, chunk in chunks for k in chunk)
+            return chunk_terms(chunks)
+
+        monkeypatch.setattr(numerics, "_chunk_terms", recording)
+        kernel_calls.clear()
+        again = binom_cdfs([specs[i] for i in shuffled])
+        assert again == [got[i] for i in shuffled]
+        assert kernel_calls == calls
+        assert sum(entries.values()) == 82_943 and max(entries.values()) == 1
 
     def test_upper_cdf_bench_row_takes_one_call(self, kernel_calls):
         # j 20 sd above n p: the lower CDF is one minus the upper tail from
@@ -421,9 +453,13 @@ class TestBinomCdfs:
             for mixed in (chunk, chunk + [(n, p, j, None) for n, p, j, _ in chunk]):
                 assert binom_cdfs(mixed) == _one_at_a_time(mixed)
 
-    def test_domain_errors(self):
+    def test_domain_errors(self, kernel_calls):
         with pytest.raises(DomainError):
             binom_cdfs([(10, 0.3, 4, False), (10, 1.0, 4, True)])
+        # every spec is checked before any is summed
+        with pytest.raises(DomainError):
+            binom_cdfs([*_t1_reduced_specs(), (10, 1.5, 3, True)])
+        assert kernel_calls == []
 
 
 class TestBinomCdfsAgainstMpmath:
