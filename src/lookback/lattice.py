@@ -23,7 +23,7 @@ Three prices of the same quantity are implemented:
   ``price_closed_reduced_grid`` sums the CDFs of a whole grid of n in
   one pass.
   Against ``price_closed`` on the four table markets it stays within
-  2.5e-13 relative at n = 1e4, 1e5 and 1e6;
+  1.0e-13 relative at n = 1e4, 1e5 and 1e6;
 * ``price_backward_induction``: risk-neutral dynamic programming on the
   level lattice, an independent O(n^2) oracle.
 
@@ -157,7 +157,7 @@ class TreeParams:
 
     s is the signed log step: sigma sqrt(tau/n) for a call and
     -sigma sqrt(tau/n) for a put, so a put's fields describe its own
-    walk, with u = e^s < 1.  d = 1/u and um1 = u - 1.  p_up is the
+    walk, with u = e^s < 1, and d = 1/u.  p_up is the
     risk-neutral up probability (e^{r tau/n} - d)/(u - d); q_adj =
     p_up u e^{-r tau/n} is the adjusted weight under which the lookback
     price is S_t times an expectation over terminal levels; one_m_p and
@@ -171,8 +171,8 @@ class TreeParams:
     sum to 1 exactly.
 
     The reduced closed form needs the ratio Q = q/(1-q) (q = q_adj) and
-    the combinations that vanish as n grows: Qm1 = Q - 1, Pm1 = P - 1
-    with P = p/(1-p) (p = p_up), and Qdm1 = Q d - 1.  Each is assembled
+    the combinations that vanish as n grows: Pm1 = P - 1 with
+    P = p/(1-p) (p = p_up), and Qdm1 = Q d - 1.  Each is assembled
     from expm1/sinh differences, so it keeps full relative precision
     where the naive difference would lose it (at n = 1e7, P - 1 or
     Q d - 1 formed from the float ratios is off by 3e-13 to 4e-13
@@ -183,14 +183,12 @@ class TreeParams:
     s: float
     u: float
     d: float
-    um1: float
     p_up: float
     q_adj: float
     one_m_p: float
     one_m_q: float
     Q: float
     Pm1: float
-    Qm1: float
     Qdm1: float
     w_up: float
     w_dn: float
@@ -282,7 +280,6 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     q = (um1 - em) / ud
     one_m_p = (um1 - ep) / ud
     one_m_q = (em - dm1) / ud
-    two_q_m1 = (a - 2.0 * em) / ud
     two_p_m1 = (2.0 * ep - a) / ud
     # the pricers weight by these and by 1.0 minus them: a weight that
     # rounds to 0 or 1 (from about s = 37) would price on a wrong weight
@@ -303,8 +300,8 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     floor, frac = _split_level(raw_j0)
     w_up, w_dn = (q, 1.0 - q) if q >= 0.5 else (1.0 - one_m_q, one_m_q)
     return TreeParams(
-        n=n, s=s, u=u, d=d, um1=um1, p_up=p, q_adj=q, one_m_p=one_m_p, one_m_q=one_m_q,
-        Q=q / one_m_q, Pm1=two_p_m1 / one_m_p, Qm1=two_q_m1 / one_m_q,
+        n=n, s=s, u=u, d=d, p_up=p, q_adj=q, one_m_p=one_m_p, one_m_q=one_m_q,
+        Q=q / one_m_q, Pm1=two_p_m1 / one_m_p,
         Qdm1=-(1.0 + d) * em / (em - dm1), w_up=w_up, w_dn=w_dn,
         j0=floor + frac, j0_floor=floor, j0_frac=frac, kappa=frac * (1.0 - frac),
     )
@@ -429,13 +426,27 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
         rho K Bin_{1-w'}(j3) + rho (c-1) (Bin_{1-w'}(j3) - Bin_w(j3)) / (rho c - 1)
             - rho^{-(f+1)} Bin_{1-w}(j3)
 
-    plus a parity-edge pmf term when n - f - 1 is even, where
+    plus a parity-edge term (1 - 1/c) pmf_w(j3) when n + f is odd, where
     K = e^E c + (c - 1) expm1(E) / (rho c - 1) and
-    E = -r tau - (f + 2) log(rho c).  At r = 0, 1 - w' = w and rho c = 1,
-    so both quotients are 0/0; each is written to stay finite there.
-    With x = r tau/n, rho c - 1 and 1 - w' - w are x times expm1 ratios
-    that tend to nonzero limits, which gives E / (rho c - 1), and since
-    d/dt Bin_{n,t}(j) = -n pmf_{n-1,t}(j) the CDF difference is
+    E = -r tau - (f + 2) log(rho c).  Since pmf_{n,1-t}(k) =
+    pmf_{n,t}(n - k) and n - j3 - 1 = j2 - 1 - [n + f odd], a lower sum
+    in 1 - t at j3 is the upper sum in t at j2 - 1 plus [n + f odd]
+    pmf_t(j2 - 1).  So V3's last term cancels V2's rho^{-(f+1)}
+    upper_w(j2 - 1) but for rho^{-(f+1)} pmf_w(j2 - 1), which is
+    pmf_w(j3) at odd n + f (C(n, j2 - 1) = C(n, j3) there), and with the
+    edge term leaves u pmf_w(j3).  Bin_{1-w'}(j3) reads V2's sum
+    upper_{w'}(j2 - 1), plus [n + f odd] pmf_{w'}(j2 - 1).  The price is
+    then three CDFs, upper_w(j3), upper_{w'}(j3) and upper_{w'}(j2 - 1),
+    and two pmfs, each times a weight (``_reduced_weights``); no sum runs
+    in 1 - w or 1 - w'.  Where one of rho'^{-(f+1)} and e^E, or a weight,
+    overflows (low-volatility puts at r > 0, where f runs into the
+    thousands), the price is refused with ModelError.
+
+    At r = 0, 1 - w' = w and rho c = 1, so both quotients are 0/0; each
+    is written to stay finite there.  With x = r tau/n, rho c - 1 and
+    1 - w' - w are x times expm1 ratios that tend to nonzero limits, which
+    gives E / (rho c - 1), and since d/dt Bin_{n,t}(j) = -n pmf_{n-1,t}(j)
+    the CDF difference is
 
         Bin_{1-w'}(j3) - Bin_w(j3) = -n (1 - w' - w) mean_{t in [w, 1-w']} pmf_{n-1,t}(j3).
 
@@ -443,34 +454,30 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     times the exact ratios pmf_{n-1,t} / pmf_{n-1,mid} in plain floats.
     Where the interval is wide against the pmf's scale in t (spread above
     ``GL_MAX_SPREAD``) the two CDFs are taken and differenced directly,
-    as they do not cancel there.  The complements 1 - w and 1 - w' are
-    ``one_m_q`` and ``one_m_p``, each formed from its own difference, and
-    rho c - 1 is ``Qdm1``: the tree's pair (w_up, w_dn) would carry the
-    rounding of 1.0 - w into them.
+    as they do not cancel there: Bin_w(j3) is a fourth CDF.  The
+    interval's end 1 - w' is ``one_m_p``, formed from its own difference,
+    and rho c - 1 is ``Qdm1``: the tree's pair (w_up, w_dn) would carry
+    the rounding of 1.0 - w into them.
 
-    Six CDFs of O(sqrt(n)) time each (see ``binom_cdf_exact``) and, as
-    single-term specs, the midpoint pmf and the parity-edge pmf go to one
-    ``binom_cdfs`` call; where the difference is direct a seventh CDF
-    takes the midpoint pmf's slot.  That call evaluates each pmf entry
-    their first chunks share once, in pmf kernel calls that hold at most
-    4,096 entries unless one segment of one (n, p) fills them alone.  On
-    the table markets that is one call up to n = 2e4 (5e4 at r = 0), two
-    or three up to 2e5, and from 3e5 on, where a first chunk nearly
-    fills a call, six at r > 0 and four at r = 0, where 1 - w = w' and
-    1 - w' = w let the lower sums share the segments of the walks from
-    j1 - 1.  On T4 at n = 1e6 it is five: the midpoint pmf, a term of
-    n - 1, sorts before the segments of n, and the first of those holds
-    4,144 entries, so the term takes a call of its own.  This is
+    The three or four CDFs of O(sqrt(n)) time each (see
+    ``binom_cdf_exact``) and, as single-term specs, the two parity pmfs
+    and the midpoint pmf go to one ``binom_cdfs`` call.  That call
+    evaluates each pmf entry their first chunks share once, in pmf
+    kernel calls that hold at most 4,096 entries unless one segment of
+    one (n, p) fills them alone.  On the table markets that is one call
+    up to n = 1e5, two up to 2.2e5 and three from 2.9e5 on: the segments
+    of w' at j3 and at j2 - 1 and of w at j3, the midpoint pmf, a term of
+    n - 1 that sorts first, riding with the first of them.  This is
     ``price_closed_reduced_grid`` at the one n; a grid makes one
     ``binom_cdfs`` call for all its n, and their chunks share kernel
     calls too.  Against ``price_closed`` on the table markets at
-    n = 1e4, 1e5 and 1e6 the result stays within 7.9e-15 relative on T1,
-    2.5e-13 on T3, 5.8e-14 on T2 and 1.4e-13 on T4, and on the T1 and T3
-    markets at r = 1e-8 and 1e-11 within 2.4e-13.  Against backward
-    induction at n = 500 both stay within 1.1e-14 for every r from 0
-    through 1e-14, 1e-13, ..., 1e-1 to 0.3.  A call is clamped to spot,
-    as in ``price_closed``: at sigma sqrt(tau) of about 16.5 the sum
-    rounds to 2.2e-16 past it.
+    n = 1e4, 1e5 and 1e6 the result stays within 3.1e-14 relative on T1,
+    6.2e-14 on T3, 1.0e-13 on T2 and T4, and on the T1 and T3 markets at
+    r = 1e-8 and 1e-11 within 1.9e-13.  Against backward induction at
+    n = 500 both stay within 8.4e-15 for every r from 0 through 1e-14,
+    1e-13, ..., 1e-1 to 0.3.  A call is clamped to spot, as in
+    ``price_closed``, should the sum round past it where it tends to
+    spot.
     """
     return price_closed_reduced_grid(market, (n,), side)[0]
 
@@ -481,16 +488,16 @@ def price_closed_reduced_grid(market: MarketState, n_values: Sequence[int],
     ``binom_cdfs`` call over the specs of every n.
 
     The pmf kernel calls of that call are shared across the grid as well
-    as within each price.  On the T1 and T3 markets a window of 16
-    consecutive n takes 1 kernel call at n = 2..17, 2 at n = 100..115 and
-    4 at n = 1000..1015, where priced one n at a time it takes 16; on T2
-    and T4, at r = 0, it takes 1, 1, and 2 (T2) or 3 (T4).  The specs of
-    each n stream into that call, eight per n, and each price reads its
-    eight results by position; it is the same, bit for bit, as when
-    priced alone.  Per n the grid keeps its ``TreeParams`` and the
-    interval of V3's mean until the call returns, and ``binom_cdfs`` a
-    record per walk.  An n that ``tree_params`` or the CDFs refuse raises
-    what the loop of single prices would raise, before any CDF is
+    as within each price.  On each table market a window of 16
+    consecutive n takes 1 kernel call at n = 2..17 and at 100..115 and 2
+    at 1000..1015, where priced one n at a time it takes 16.  Each n
+    streams its ``_reduced_specs`` into that call, and its price is the
+    sum of its ``_reduced_weights`` times its results, read in order; it
+    is the same, bit for bit, as when priced alone.  Per n the grid keeps
+    its ``TreeParams``, the interval of V3's mean and its weights until
+    the call returns, and ``binom_cdfs`` a record per walk.  An n that
+    ``tree_params``, the weights or the CDFs refuse raises what the loop
+    of single prices would raise, before any CDF is
     summed.
     """
     plans = []
@@ -498,10 +505,13 @@ def price_closed_reduced_grid(market: MarketState, n_values: Sequence[int],
         par = tree_params(market, n, side)
         # the first spec's check, made where a loop of single prices makes it
         _check_binom_args(par.n, par.q_adj)
-        plans.append((par, _v3_interval(market, par)))
-    cdf = binom_cdfs(spec for plan in plans for spec in _reduced_specs(*plan))
-    return [_reduced_price(market, par, interval, cdf[8 * i:8 * i + 8])
-            for i, (par, interval) in enumerate(plans)]
+        interval = _v3_interval(market, par)
+        plans.append((par, interval, _reduced_weights(market, par, interval)))
+    cdf = iter(binom_cdfs(spec for par, interval, _ in plans
+                          for spec in _reduced_specs(par, interval)))
+    # zip stops at the end of the weights, so each price takes its own results
+    return [_signed_price(par, market.spot, math.fsum(wt * v for wt, v in zip(weights, cdf)))
+            for par, _, weights in plans]
 
 
 def _v3_interval(market: MarketState, par: TreeParams) -> tuple[float, float, bool]:
@@ -523,74 +533,70 @@ def _v3_interval(market: MarketState, par: TreeParams) -> tuple[float, float, bo
 
 
 def _reduced_specs(par: TreeParams, interval: tuple[float, float, bool]) -> tuple[tuple, ...]:
-    """The eight ``binom_cdfs`` specs of one reduced price, in the order
-    in which ``_reduced_price`` reads their results: the upper sums in w
-    and w' at j1 - 1, then at j2 - 1, the parity-edge pmf, the lower sum
-    in 1 - w' at j3 = j1 - 1, the direct lower sum in w at j3 or else the
-    midpoint pmf, a lone term of (n - 1, p), and the lower sum in 1 - w
-    at j3.  A spec whose result the price does not use sums nothing and
-    gives 0.0: the edge pmf is taken at -1 unless n - f - 1 is even, and
-    where j0 >= n (n - f - 1 < 0), j2 - 1 >= n and j3 < 0, so only the
-    first two specs sum anything."""
+    """The six ``binom_cdfs`` specs of one reduced price, in the order of
+    ``_reduced_weights``: the upper sums in w and w' at j1 - 1 = j3, the
+    upper sum in w' at j2 - 1, the pmfs of w at j3 and of w' at j2 - 1,
+    and the direct lower sum in w at j3 or else the midpoint pmf, a lone
+    term of (n - 1, p).  The two pmfs are taken at -1, which gives 0.0,
+    unless n + f is odd; where j0 >= n (n - f - 1 < 0), j2 - 1 >= n and
+    j3 < 0, so only the first two specs sum anything."""
     n, floor = par.n, par.j0_floor
     w, wp = par.q_adj, par.p_up
     _, half, direct = interval
-    j1 = n - (n + floor) // 2
-    j2 = j1 + floor + 1
-    j3 = j1 - 1
-    edge = j3 if (n - floor - 1) % 2 == 0 else -1
-    return ((n, w, j1 - 1, True), (n, wp, j1 - 1, True),
-            (n, w, j2 - 1, True), (n, wp, j2 - 1, True), (n, w, edge, None),
-            (n, par.one_m_p, j3, False),
-            (n, w, j3, False) if direct else (n - 1, par.one_m_p - half, j3, None),
-            (n, par.one_m_q, j3, False))
+    j3 = n - (n + floor) // 2 - 1
+    j2 = j3 + floor + 2
+    odd = (n + floor) % 2
+    return ((n, w, j3, True), (n, wp, j3, True), (n, wp, j2 - 1, True),
+            (n, w, j3 if odd else -1, None), (n, wp, j2 - 1 if odd else -1, None),
+            (n, w, j3, False) if direct else (n - 1, par.one_m_p - half, j3, None))
 
 
-def _reduced_price(market: MarketState, par: TreeParams,
-                   interval: tuple[float, float, bool], cdf: Sequence[float]) -> float:
-    """One reduced price from the results of its ``_reduced_specs``, in
-    their order."""
-    w_j1, wp_j1, w_j2, wp_j2, edge_pmf, low_p, low_w_or_mid, low_q = cdf
-    n, spot = par.n, market.spot
-    floor = par.j0_floor
-    # rc_m1 = rho c - 1
-    log_rho, log_rho_p = math.log1p(par.Qm1), math.log1p(par.Pm1)
+def _reduced_weights(market: MarketState, par: TreeParams,
+                     interval: tuple[float, float, bool]) -> tuple[float, ...]:
+    """The weights of the results of ``_reduced_specs``, in their order,
+    whose sum is the reduced price per unit spot; ModelError where one
+    leaves the float range."""
+    n, floor = par.n, par.j0_floor
+    # extremum/spot as c^{j0}: consistent with the snapped level
+    ms_disc = math.exp(-par.j0 * par.s) * math.exp(-market.rate * market.tau)
+    if n - floor - 1 < 0:
+        return 1.0, -ms_disc, 0.0, 0.0, 0.0, 0.0
     rho, rc_m1 = par.Q, par.Qdm1
     c, cm1 = par.d, math.expm1(-par.s)
     x = market.rate * (market.tau / n)
-    disc = math.exp(-market.rate * market.tau)
     width_x, half, direct = interval
     # rho c - 1 = x rc_x, a ratio finite and nonzero at x = 0
     rc_x = (1.0 + c) * expm1_ratio(-x) / (math.expm1(-x) - cm1)
-    j3 = n - (n + floor) // 2 - 1
-    n_inner = n - floor - 1
-    # extremum/spot as c^{j0}: consistent with the snapped level
-    ms_disc = math.exp(-par.j0 * par.s) * disc
-    v1 = w_j1 - ms_disc * wp_j1
-    if n_inner < 0:
-        return _signed_price(par, spot, v1)
-    v2 = (math.exp(-(floor + 1) * log_rho) * w_j2
-          - ms_disc * math.exp(-(floor + 1) * log_rho_p) * wp_j2)
-    # parity edge term, (1 - 1/c) pmf: the top absorbed level is reached
-    # only when n - floor - 1 and the step count share parity (the pmf's
-    # slot gives 0 otherwise)
-    edge = -par.um1 * edge_pmf
     # K = e^E c + (c - 1) expm1(E)/(rho c - 1), with r tau/(rho c - 1) = n/rc_x
     big_e = -market.rate * market.tau - (floor + 2) * math.log1p(rc_m1)
+    log_pow = -(floor + 1) * math.log1p(par.Pm1)  # log rho'^-(f+1)
+    if not max(big_e, log_pow) <= _LOG_FLOAT_MAX:
+        raise ModelError(f"reduced form: rho'^-(f+1) = e^{log_pow:.6g} or e^E = e^{big_e:.6g} "
+                         f"overflows: need both exponents below {_LOG_FLOAT_MAX:.6g}, "
+                         f"got n={n}, f={floor}")
     e_over_rc = -n / rc_x - (floor + 2) * log1p_ratio(rc_m1)
-    k = math.exp(big_e) * c + cm1 * expm1_ratio(big_e) * e_over_rc
+    rho_k = rho * (math.exp(big_e) * c + cm1 * expm1_ratio(big_e) * e_over_rc)
     if direct:
-        div = rho * cm1 / rc_m1 * (low_p - low_w_or_mid)
+        # rho (c - 1) (Bin_{1-w'}(j3) - Bin_w(j3)) / (rho c - 1), Bin_w(j3) summed directly
+        quot = rho * cm1 / rc_m1
+        on_p, on_last = -rho_k - quot, quot
     else:
+        j3 = n - (n + floor) // 2 - 1
         mid = par.one_m_p - half
 
         def ratio(off: float) -> float:
             return math.exp(j3 * math.log1p(off / mid)
                             + (n - 1 - j3) * math.log1p(-off / (1.0 - mid)))
 
-        div = -rho * cm1 * (width_x / rc_x) * n * low_w_or_mid * gl_mean(ratio, half)
-    v3 = rho * k * low_p + div - math.exp(-(floor + 1) * log_rho) * low_q + edge
-    return _signed_price(par, spot, v1 - v2 - v3)
+        # the same quotient as n (1 - w' - w) times the mean of
+        # pmf_{n-1,t}(j3) over t, on the midpoint pmf
+        on_p, on_last = -rho_k, rho * cm1 * (width_x / rc_x) * n * gl_mean(ratio, half)
+    # on_p weighs Bin_{1-w'}(j3) = upper_{w'}(j2 - 1) + [n + f odd] pmf_{w'}(j2 - 1)
+    weights = (1.0, -ms_disc, ms_disc * math.exp(log_pow) + on_p, par.u, on_p, on_last)
+    if not all(map(math.isfinite, weights)):
+        raise ModelError(f"reduced form: a weight overflows past {sys.float_info.max:.6g}, "
+                         f"got n={n}, f={floor}")
+    return weights
 
 
 def _step_back(col: np.ndarray, lane: int, ghosts: bool, start: int, top: int, end: int,

@@ -54,8 +54,8 @@ evaluates each pmf entry of their first chunks once.  It checks every
 spec first and keeps one small record per walk, with its first chunk as
 an interval of indices.  It then sorts the records by (n, p, first
 index) and sweeps them into segments: the intervals of one (n, p) that
-overlap or touch merge into one.  The walks of a reduced price start
-from j1 - 1, j1 and j1 + f, so at f = 0 their first chunks nearly
+overlap or touch merge into one.  A reduced price's two sums in w' are
+taken at j1 - 1 and j1 + f, so at f = 0 their first chunks nearly
 coincide.  Whole segments go, in that order, into kernel calls, with
 the (n, p) constants of the kernel repeated per entry, and each walk
 sums its own slice of its call's terms and applies its tail rule.  The
@@ -68,7 +68,10 @@ besides the records.  A call over two or more segments holds at most
 4,096 entries: one merged call over 7 x 6,000 entries takes 3.1 ms
 against 1.7 ms for seven separate calls (2-CPU x86 VM, n = 1e6), as
 its temporaries spill out of L2.  A lone segment may pass the cap, as
-splitting it would evaluate its shared entries twice.
+splitting it would evaluate its shared entries twice, and so may one
+after single terms: a term that makes a segment of its own, such as a
+reduced price's midpoint pmf of n - 1 before the segments of n, goes
+into the call of the segment after it rather than one of its own.
 
 A walk sums its slice through a ``memoryview``, from its start
 outward, so a down walk reads its slice reversed.  ``fsum`` over a
@@ -447,7 +450,9 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
     segments: the first chunks of one (n, p) that overlap or touch merge
     into one.  Whole segments go into kernel calls in that order, and a
     call closes before a segment that would take it past ``_PACK_MAX``
-    entries (a lone segment may pass it).  Each walk sums its own slice
+    entries, unless the call holds single terms only and the segment is
+    not one (a lone segment may pass the cap, as may one after single
+    terms).  Each walk sums its own slice
     of its call's terms, and then either stops or, rarely, goes on
     alone, one kernel call per later chunk.  So no pmf entry of a first
     chunk is evaluated twice, and the order of the specs changes neither
@@ -487,7 +492,8 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
     pack, size = [], 0  # the segments of the next kernel call, and their entries
     for segment in _segments(walks):
         entries = segment[3] - segment[2]
-        if pack and size + entries > _PACK_MAX:
+        # single terms go with the segment after them, even past the cap
+        if pack and size + entries > _PACK_MAX and (entries == 1 or size > len(pack)):
             _run_walks(pack, out)
             pack, size = [], 0
         pack.append(segment)

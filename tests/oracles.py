@@ -82,8 +82,8 @@ def lattice_ratios_mp(sigma: float, rate: float, tau: float, n: int) -> dict[str
     definitions in 50 digits.
 
     u = e^s with s = sigma sqrt(tau/n), d = 1/u, p = (e^{r tau/n} - d)/(u - d),
-    q = p u e^{-r tau/n}; Q = q/(1-q), P = p/(1-p), and the three
-    differences Q - 1, P - 1 and Q d - 1 taken directly, which 50 digits
+    q = p u e^{-r tau/n}; Q = q/(1-q), P = p/(1-p), and the two
+    differences P - 1 and Q d - 1 taken directly, which 50 digits
     afford.  A negative sigma gives a put's lattice, stepped by -|s|.
     """
     with mp.workdps(50):
@@ -94,7 +94,7 @@ def lattice_ratios_mp(sigma: float, rate: float, tau: float, n: int) -> dict[str
         p = (growth - d) / (u - d)
         q = p * u / growth
         big_q, big_p = q / (1 - q), p / (1 - p)
-        return {"Q": big_q, "Qm1": big_q - 1, "Pm1": big_p - 1, "Qdm1": big_q * d - 1}
+        return {"Q": big_q, "Pm1": big_p - 1, "Qdm1": big_q * d - 1}
 
 
 def _bs_terms_mp(s, m, sig, r, t, side):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lookback import (
@@ -63,6 +63,11 @@ def _outcome(price_fn):
 
 @settings(max_examples=300, derandomize=True)
 @given(case=_markets())
+# a low-volatility put at a positive rate, where the reduced form's
+# factor e^E is about e^1599
+@example(case=(MarketState(spot=103.33682690106653, extremum=119.0079808047861,
+                           sigma=0.0016924579246134616, rate=0.016018594949345762,
+                           tau=2.1394893654988296), "put", 5342))
 def test_prices_are_finite_and_bounded_or_refused(case):
     market, side, n = case
     prices = {

@@ -166,7 +166,7 @@ class TestTreeParams:
     @pytest.mark.parametrize("market, side, sign", [(T1, "call", 1.0), (T3, "put", -1.0)],
                              ids=["T1", "T3"])
     def test_ratio_fields_against_mpmath(self, market, side, sign, n):
-        """Q and the vanishing Q - 1, P - 1, Q d - 1 keep full relative
+        """Q and the vanishing P - 1, Q d - 1 keep full relative
         precision, a put's on its own lattice at -sigma; at n = 1e7 forming
         them as P - 1 or Q*d - 1 from the float Q, P loses 3e-13 to 4e-13."""
         par = tree_params(market, n, side)
@@ -423,7 +423,8 @@ def _closed_sum_mp(market: MarketState, n: int, side: str):
 
 # (spot, extremum, sigma, rate, tau, n) of calls that price_closed's sums
 # put 1.6e-16 to 4.4e-16 relative above spot, where the price tends to spot,
-# and (the last two) that price_closed_reduced's put 2.2e-16 above it
+# and (the last two) that an earlier arrangement of price_closed_reduced,
+# with six CDFs, put 2.2e-16 above it
 CALLS_NEAR_SPOT = [
     (87.67412162917454, 41.61560457517693, 8.844315758515796, 3.240377741539851e-08,
      23.388526053033033, 85),
@@ -655,22 +656,101 @@ class TestReducedPackedPass:
 
     @pytest.mark.parametrize("market,side", TABLE_SIDES)
     def test_grid_shares_kernel_calls(self, market, side, kernel_calls):
-        # a 16-n window priced one n at a time takes 16 calls; at r = 0,
-        # 1 - w = w' and 1 - w' = w, so each lower sum shares its segment
-        # with the walks of the other weight and fewer calls are left
-        grid_calls = (1, 1, 2 if side == "call" else 3) if market.rate == 0.0 else (1, 2, 4)
-        for start, calls in zip((2, 100, 1000), grid_calls):
+        # a 16-n window priced one n at a time takes 16 calls
+        for start, calls in zip((2, 100, 1000), (1, 1, 2)):
             kernel_calls.clear()
             price_closed_reduced_grid(market, range(start, start + 16), side)
             assert len(kernel_calls) == calls, f"start={start}: {kernel_calls}"
             assert max(size for size, _ in kernel_calls) <= numerics._PACK_MAX
 
     @pytest.mark.parametrize("market,side", TABLE_SIDES)
-    def test_packed_calls_within_cap(self, market, side, kernel_calls):
+    def test_packed_calls_within_cap(self, market, side, monkeypatch):
+        """A call holds at most ``_PACK_MAX`` entries unless it is one
+        segment, or single terms and the segment after them."""
+        chunk_terms, calls = numerics._chunk_terms, []
+
+        def recording(chunks):
+            calls.append([len(chunk) for _, _, chunk in chunks])
+            return chunk_terms(chunks)
+
+        monkeypatch.setattr(numerics, "_chunk_terms", recording)
         for n in [5000, 10**4, 3 * 10**4, 10**5, 10**6]:
             price_closed_reduced(market, n, side)
-        packed = [size for size, is_packed in kernel_calls if is_packed]
-        assert packed and max(packed) <= numerics._PACK_MAX
+        packed = [sizes for sizes in calls if len(sizes) > 1]
+        assert packed and all(sum(sizes) <= numerics._PACK_MAX or set(sizes[:-1]) == {1}
+                              for sizes in packed), packed
+
+    @pytest.mark.parametrize("market,side,n,calls", [
+        (T4, "put", 10**6, 3),
+        # a put of the seed-1 ``deep`` benchmark round, at emission
+        (MarketState(spot=116.06187021975191, extremum=116.06187021975191,
+                     sigma=0.1968400610033863, rate=0.0, tau=1.3905743117616243),
+         "put", 886_489, 2),
+    ])
+    def test_midpoint_pmf_shares_a_call(self, market, side, n, calls, kernel_calls):
+        """The midpoint pmf, one term of (n - 1, p), sorts before the
+        segments of n and goes into the call of the first of them, which
+        alone passes the cap."""
+        price_closed_reduced(market, n, side)
+        assert len(kernel_calls) == calls, kernel_calls
+        entries, packed = kernel_calls[0]
+        assert packed and entries > numerics._PACK_MAX
+
+
+def _exact_pair(t: float, one_m: float) -> tuple[float, float]:
+    """(t, 1 - t) as a pair of floats that sum to 1 exactly: the one of
+    t and one_m that is at least 1/2, as formed, and 1.0 minus it."""
+    return (t, 1.0 - t) if t >= 0.5 else (1.0 - one_m, one_m)
+
+
+class TestReducedIdentities:
+    """pmf_{n,1-t}(k) = pmf_{n,t}(n - k) and n - j3 - 1 = j2 - 1 - [n + f
+    odd], so the lower sums in 1 - w and 1 - w' at j3, which V3 held, are
+    the upper sums in w and w' at j2 - 1 plus [n + f odd] times their
+    pmfs at j2 - 1.  Each pair of weights sums to 1 exactly, so the
+    kernel's terms of the two sides are mirrors, and they differ only by
+    the rounding of their logs, about |log term| ulps: within 1e-14 of
+    the sum, or 5e-16 |log sum| in the far tails.  At odd n + f,
+    C(n, j2 - 1) = C(n, j3), so t^{-(f+1)} (1-t)^{f+1} pmf_t(j2 - 1) is
+    pmf_t(j3), which the reduced form takes in its place; the logs are
+    compared, as the power overflows at large f."""
+
+    @staticmethod
+    def _check(market: MarketState, n: int, side: str) -> int:
+        par = tree_params(market, n, side)
+        floor = par.j0_floor
+        j3 = n - (n + floor) // 2 - 1
+        j2 = j3 + floor + 2
+        odd = (n + floor) % 2
+        for t, one_m in (_exact_pair(par.q_adj, par.one_m_q),
+                         _exact_pair(par.p_up, par.one_m_p)):
+            low, upper, pmf = numerics.binom_cdfs([(n, one_m, j3, False), (n, t, j2 - 1, True),
+                                                   (n, t, j2 - 1, None)])
+            want = upper + odd * pmf
+            tol = max(1e-14, -5e-16 * math.log(want)) * want if want else 0.0
+            assert abs(low - want) <= tol, f"n={n}, f={floor}: {low!r} vs {want!r}"
+            if odd and j3 >= 0:
+                log_top = numerics.binom_pmf_log(n, t, j2 - 1) - (floor + 1) * math.log(t / one_m)
+                log_j3 = numerics.binom_pmf_log(n, t, j3)
+                assert abs(log_top - log_j3) <= 1e-14 * max(1.0, abs(log_j3), (floor + 1)), (
+                    f"n={n}, f={floor}: {log_top!r} vs {log_j3!r}")
+        return odd
+
+    @pytest.mark.parametrize("market,side", TABLE_SIDES)
+    def test_table_markets(self, market, side):
+        ns = (2, 3, 10, 11, 100, 101, 1000, 1001, 10**4, 10**4 + 1, 10**5, 10**5 + 1,
+              10**6, 10**6 + 1)
+        assert {self._check(market, n, side) for n in ns} == {0, 1}
+
+    @settings(max_examples=200, derandomize=True)
+    @given(market=market_strategy, n=st.integers(min_value=1, max_value=20_000))
+    def test_random_markets(self, market, n):
+        side = "put" if market.extremum > market.spot else "call"
+        try:
+            tree_params(market, n, side)
+        except LookbackError:
+            assume(False)
+        self._check(market, n, side)
 
 
 class TestPriceBackwardInduction:

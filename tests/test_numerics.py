@@ -418,7 +418,7 @@ class TestBinomCdfs:
         specs = _t1_reduced_specs()
         got = binom_cdfs(specs)
         calls = list(kernel_calls)
-        assert (len(calls), sum(size for size, _ in calls)) == (21, 82_943)
+        assert (len(calls), sum(size for size, _ in calls)) == (10, 40_359)
         shuffled = list(range(len(specs)))
         random.Random(11).shuffle(shuffled)
         chunk_terms, entries = numerics._chunk_terms, collections.Counter()
@@ -432,7 +432,7 @@ class TestBinomCdfs:
         again = binom_cdfs([specs[i] for i in shuffled])
         assert again == [got[i] for i in shuffled]
         assert kernel_calls == calls
-        assert sum(entries.values()) == 82_943 and max(entries.values()) == 1
+        assert sum(entries.values()) == 40_359 and max(entries.values()) == 1
 
     def test_upper_cdf_bench_row_takes_one_call(self, kernel_calls):
         # j 20 sd above n p: the lower CDF is one minus the upper tail from
