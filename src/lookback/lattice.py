@@ -23,7 +23,7 @@ Three prices of the same quantity are implemented:
   ``price_closed_reduced_grid`` sums the CDFs of a whole grid of n in
   one pass.
   Against ``price_closed`` on the four table markets it stays within
-  1.0e-13 relative at n = 1e4, 1e5 and 1e6;
+  9.3e-14 relative at n = 1e4, 1e5 and 1e6;
 * ``price_backward_induction``: risk-neutral dynamic programming on the
   level lattice, an independent O(n^2) oracle.
 
@@ -436,11 +436,12 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     pmf_w(j3) at odd n + f (C(n, j2 - 1) = C(n, j3) there), and with the
     edge term leaves u pmf_w(j3).  Bin_{1-w'}(j3) reads V2's sum
     upper_{w'}(j2 - 1), plus [n + f odd] pmf_{w'}(j2 - 1).  The price is
-    then three CDFs, upper_w(j3), upper_{w'}(j3) and upper_{w'}(j2 - 1),
-    and two pmfs, each times a weight (``_reduced_weights``); no sum runs
-    in 1 - w or 1 - w'.  Where one of rho'^{-(f+1)} and e^E, or a weight,
-    overflows (low-volatility puts at r > 0, where f runs into the
-    thousands), the price is refused with ModelError.
+    then a constant plus three CDFs, upper_w(j3), upper_{w'}(j3) and
+    upper_{w'}(j2 - 1), and two pmfs, pmf_w(j3) and pmf_{w'}(j2 - 1),
+    each times a weight (``_reduced_weights``); no sum runs in 1 - w or
+    1 - w', and no term in n - 1.  Where one of rho'^{-(f+1)} and e^E,
+    or a weight, overflows (low-volatility puts at r > 0, where f runs
+    into the thousands), the price is refused with ModelError.
 
     At r = 0, 1 - w' = w and rho c = 1, so both quotients are 0/0; each
     is written to stay finite there.  With x = r tau/n, rho c - 1 and
@@ -450,34 +451,36 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
 
         Bin_{1-w'}(j3) - Bin_w(j3) = -n (1 - w' - w) mean_{t in [w, 1-w']} pmf_{n-1,t}(j3).
 
-    The mean is ``gl_mean`` over the pmf at the midpoint
-    times the exact ratios pmf_{n-1,t} / pmf_{n-1,mid} in plain floats.
-    Where the interval is wide against the pmf's scale in t (spread above
-    ``GL_MAX_SPREAD``) the two CDFs are taken and differenced directly,
-    as they do not cancel there: Bin_w(j3) is a fourth CDF.  The
-    interval's end 1 - w' is ``one_m_p``, formed from its own difference,
-    and rho c - 1 is ``Qdm1``: the tree's pair (w_up, w_dn) would carry
-    the rounding of 1.0 - w into them.
+    Since n pmf_{n-1,w}(j3) = (n - j3) pmf_w(j3) / (1 - w), the mean is
+    pmf_w(j3), a term the price already takes, times ``gl_mean`` of the
+    exact ratios pmf_{n-1,t} / pmf_{n-1,w} in plain floats, anchored at
+    the end w.  Where the interval is wide against the pmf's scale in t
+    (spread above ``GL_MAX_SPREAD``) the two CDFs are differenced
+    directly, as they do not cancel there, and Bin_w(j3) is
+    1 - upper_w(j3): upper_w(j3) takes the quotient into its weight, and
+    the price a constant.  The interval's width 1 - w' - w is x times an
+    expm1 ratio, 1 - w in the ratios is ``one_m_q``, and rho c - 1 is
+    ``Qdm1``, each formed from its own difference: the tree's pair
+    (w_up, w_dn) would carry the rounding of 1.0 - w into them.
 
-    The three or four CDFs of O(sqrt(n)) time each (see
-    ``binom_cdf_exact``) and, as single-term specs, the two parity pmfs
-    and the midpoint pmf go to one ``binom_cdfs`` call.  That call
-    evaluates each pmf entry their first chunks share once, in pmf
-    kernel calls that hold at most 4,096 entries unless one segment of
-    one (n, p) fills them alone.  On the table markets that is one call
-    up to n = 1e5, two up to 2.2e5 and three from 2.9e5 on: the segments
-    of w' at j3 and at j2 - 1 and of w at j3, the midpoint pmf, a term of
-    n - 1 that sorts first, riding with the first of them.  This is
-    ``price_closed_reduced_grid`` at the one n; a grid makes one
-    ``binom_cdfs`` call for all its n, and their chunks share kernel
+    The three CDFs of O(sqrt(n)) time each (see ``binom_cdf_exact``) and
+    the two pmfs, as single-term specs, go to one ``binom_cdfs`` call:
+    five specs, all of (n, w) or (n, w').  Each pmf lies in or next to
+    the first chunk of a sum of its own (n, p), so that call evaluates
+    each pmf entry once, in pmf kernel calls that hold at most 4,096
+    entries unless one segment fills them alone.  On the table markets
+    that is one call up to n = 1e5, two from 1.3e5 to 2.4e5 and three
+    from 2.8e5 on: the segments of w' at j3 and at j2 - 1 and of w at
+    j3.  This is ``price_closed_reduced_grid`` at the one n; a grid makes
+    one ``binom_cdfs`` call for all its n, and their chunks share kernel
     calls too.  Against ``price_closed`` on the table markets at
     n = 1e4, 1e5 and 1e6 the result stays within 3.1e-14 relative on T1,
-    6.2e-14 on T3, 1.0e-13 on T2 and T4, and on the T1 and T3 markets at
-    r = 1e-8 and 1e-11 within 1.9e-13.  Against backward induction at
-    n = 500 both stay within 8.4e-15 for every r from 0 through 1e-14,
-    1e-13, ..., 1e-1 to 0.3.  A call is clamped to spot, as in
-    ``price_closed``, should the sum round past it where it tends to
-    spot.
+    6.2e-14 on T3, 8.9e-14 on T2 and 9.3e-14 on T4, and on the T1 and T3
+    markets at r = 1e-8 and 1e-11 within 2.2e-13.  Against backward
+    induction at n = 500 both stay within 8.8e-15 for every r from 0
+    through 1e-14, 1e-13, ..., 1e-1 to 0.3.  A call is clamped to spot,
+    as in ``price_closed``, should the sum round past it where it tends
+    to spot.
     """
     return price_closed_reduced_grid(market, (n,), side)[0]
 
@@ -491,80 +494,56 @@ def price_closed_reduced_grid(market: MarketState, n_values: Sequence[int],
     as within each price.  On each table market a window of 16
     consecutive n takes 1 kernel call at n = 2..17 and at 100..115 and 2
     at 1000..1015, where priced one n at a time it takes 16.  Each n
-    streams its ``_reduced_specs`` into that call, and its price is the
-    sum of its ``_reduced_weights`` times its results, read in order; it
-    is the same, bit for bit, as when priced alone.  Per n the grid keeps
-    its ``TreeParams``, the interval of V3's mean and its weights until
-    the call returns, and ``binom_cdfs`` a record per walk.  An n that
-    ``tree_params``, the weights or the CDFs refuse raises what the loop
-    of single prices would raise, before any CDF is
-    summed.
+    streams its five ``_reduced_specs`` into that call, and its price is
+    the ``fsum`` of the constant of its ``_reduced_weights`` and their
+    weights times its results, read in order; it is the same, bit for
+    bit, as when priced alone.  Per n the grid keeps its ``TreeParams``,
+    the constant and the weights until the call returns, and
+    ``binom_cdfs`` a record per walk.  An n that ``tree_params``, the
+    weights or the CDFs refuse raises what the loop of single prices
+    would raise, before any CDF is summed.
     """
     plans = []
     for n in n_values:
         par = tree_params(market, n, side)
         # the first spec's check, made where a loop of single prices makes it
         _check_binom_args(par.n, par.q_adj)
-        interval = _v3_interval(market, par)
-        plans.append((par, interval, _reduced_weights(market, par, interval)))
-    cdf = iter(binom_cdfs(spec for par, interval, _ in plans
-                          for spec in _reduced_specs(par, interval)))
+        plans.append((par, *_reduced_weights(market, par)))
+    cdf = iter(binom_cdfs(spec for par, _, _ in plans for spec in _reduced_specs(par)))
     # zip stops at the end of the weights, so each price takes its own results
-    return [_signed_price(par, market.spot, math.fsum(wt * v for wt, v in zip(weights, cdf)))
-            for par, _, weights in plans]
+    return [_signed_price(par, market.spot,
+                          math.fsum((constant, *(wt * v for wt, v in zip(weights, cdf)))))
+            for par, constant, weights in plans]
 
 
-def _v3_interval(market: MarketState, par: TreeParams) -> tuple[float, float, bool]:
-    """(width_x, half, direct) of V3's CDF difference over [w, 1 - w']:
-    1 - w' - w = x width_x with x = r tau/n, half the interval's width,
-    and whether its spread is above ``GL_MAX_SPREAD``."""
-    n = par.n
-    x = market.rate * (market.tau / n)
-    # 1 - w' - w = x width_x is finite and nonzero at x = 0:
-    # 2 sinh(x) / x = expm1(x)/x + expm1(-x)/-x
-    width_x = -(expm1_ratio(x) + expm1_ratio(-x)) / (2.0 * math.sinh(par.s))
-    half = 0.5 * x * width_x
-    # the interval against the slope j/t - (n-1-j)/(1-t) of
-    # log pmf_{n-1,t}(j3), which is monotone in t: largest at an end
-    j3 = n - (n + par.j0_floor) // 2 - 1
-    spread = 2.0 * abs(half) * max(abs(j3 / t - (n - 1 - j3) / (1.0 - t))
-                                   for t in (par.q_adj, par.one_m_p))
-    return width_x, half, spread > GL_MAX_SPREAD
-
-
-def _reduced_specs(par: TreeParams, interval: tuple[float, float, bool]) -> tuple[tuple, ...]:
-    """The six ``binom_cdfs`` specs of one reduced price, in the order of
-    ``_reduced_weights``: the upper sums in w and w' at j1 - 1 = j3, the
-    upper sum in w' at j2 - 1, the pmfs of w at j3 and of w' at j2 - 1,
-    and the direct lower sum in w at j3 or else the midpoint pmf, a lone
-    term of (n - 1, p).  The two pmfs are taken at -1, which gives 0.0,
-    unless n + f is odd; where j0 >= n (n - f - 1 < 0), j2 - 1 >= n and
-    j3 < 0, so only the first two specs sum anything."""
+def _reduced_specs(par: TreeParams) -> tuple[tuple, ...]:
+    """The five ``binom_cdfs`` specs of one reduced price, all of (n, w)
+    or (n, w'), in the order of ``_reduced_weights``: the upper sums in w
+    and w' at j1 - 1 = j3, the upper sum in w' at j2 - 1, the pmf of w at
+    j3, and the pmf of w' at j2 - 1, taken at -1, which gives 0.0, unless
+    n + f is odd.  Where j0 >= n (n - f - 1 < 0), j2 - 1 >= n and j3 < 0,
+    so only the first two specs sum anything."""
     n, floor = par.n, par.j0_floor
     w, wp = par.q_adj, par.p_up
-    _, half, direct = interval
     j3 = n - (n + floor) // 2 - 1
     j2 = j3 + floor + 2
     odd = (n + floor) % 2
     return ((n, w, j3, True), (n, wp, j3, True), (n, wp, j2 - 1, True),
-            (n, w, j3 if odd else -1, None), (n, wp, j2 - 1 if odd else -1, None),
-            (n, w, j3, False) if direct else (n - 1, par.one_m_p - half, j3, None))
+            (n, w, j3, None), (n, wp, j2 - 1 if odd else -1, None))
 
 
-def _reduced_weights(market: MarketState, par: TreeParams,
-                     interval: tuple[float, float, bool]) -> tuple[float, ...]:
-    """The weights of the results of ``_reduced_specs``, in their order,
-    whose sum is the reduced price per unit spot; ModelError where one
-    leaves the float range."""
+def _reduced_weights(market: MarketState, par: TreeParams) -> tuple[float, tuple[float, ...]]:
+    """(constant, weights): the reduced price per unit spot is the
+    constant plus the weights times the results of ``_reduced_specs``,
+    in their order; ModelError where a weight leaves the float range."""
     n, floor = par.n, par.j0_floor
     # extremum/spot as c^{j0}: consistent with the snapped level
     ms_disc = math.exp(-par.j0 * par.s) * math.exp(-market.rate * market.tau)
     if n - floor - 1 < 0:
-        return 1.0, -ms_disc, 0.0, 0.0, 0.0, 0.0
+        return 0.0, (1.0, -ms_disc, 0.0, 0.0, 0.0)
     rho, rc_m1 = par.Q, par.Qdm1
     c, cm1 = par.d, math.expm1(-par.s)
     x = market.rate * (market.tau / n)
-    width_x, half, direct = interval
     # rho c - 1 = x rc_x, a ratio finite and nonzero at x = 0
     rc_x = (1.0 + c) * expm1_ratio(-x) / (math.expm1(-x) - cm1)
     # K = e^E c + (c - 1) expm1(E)/(rho c - 1), with r tau/(rho c - 1) = n/rc_x
@@ -576,27 +555,39 @@ def _reduced_weights(market: MarketState, par: TreeParams,
                          f"got n={n}, f={floor}")
     e_over_rc = -n / rc_x - (floor + 2) * log1p_ratio(rc_m1)
     rho_k = rho * (math.exp(big_e) * c + cm1 * expm1_ratio(big_e) * e_over_rc)
-    if direct:
-        # rho (c - 1) (Bin_{1-w'}(j3) - Bin_w(j3)) / (rho c - 1), Bin_w(j3) summed directly
-        quot = rho * cm1 / rc_m1
-        on_p, on_last = -rho_k - quot, quot
+    j3 = n - (n + floor) // 2 - 1
+    w, one_m_w = par.q_adj, par.one_m_q
+    # 1 - w' - w = x width_x is finite and nonzero at x = 0:
+    # 2 sinh(x) / x = expm1(x)/x + expm1(-x)/-x
+    width_x = -(expm1_ratio(x) + expm1_ratio(-x)) / (2.0 * math.sinh(par.s))
+    half = 0.5 * x * width_x
+    # the interval [w, 1 - w'] against the slope j/t - (n-1-j)/(1-t) of
+    # log pmf_{n-1,t}(j3), which is monotone in t: largest at an end
+    spread = 2.0 * abs(half) * max(abs(j3 / t - (n - 1 - j3) / (1.0 - t))
+                                   for t in (w, par.one_m_p))
+    # pmf_w(j3) is summed at both parities; u times it only at odd n + f
+    on_w, constant, edge = 1.0, 0.0, par.u if (n + floor) % 2 else 0.0
+    if spread > GL_MAX_SPREAD:
+        # rho (c - 1) (Bin_{1-w'}(j3) - Bin_w(j3)) / (rho c - 1) taken
+        # directly, with Bin_w(j3) = 1 - upper_w(j3)
+        constant = rho * cm1 / rc_m1
+        on_p, on_w = -rho_k - constant, 1.0 - constant
     else:
-        j3 = n - (n + floor) // 2 - 1
-        mid = par.one_m_p - half
-
         def ratio(off: float) -> float:
-            return math.exp(j3 * math.log1p(off / mid)
-                            + (n - 1 - j3) * math.log1p(-off / (1.0 - mid)))
+            return math.exp(j3 * math.log1p((half + off) / w)
+                            + (n - 1 - j3) * math.log1p(-(half + off) / one_m_w))
 
-        # the same quotient as n (1 - w' - w) times the mean of
-        # pmf_{n-1,t}(j3) over t, on the midpoint pmf
-        on_p, on_last = -rho_k, rho * cm1 * (width_x / rc_x) * n * gl_mean(ratio, half)
+        # the same quotient as (1 - w' - w) n pmf_{n-1,w}(j3) times the
+        # mean of pmf_{n-1,t}(j3) / pmf_{n-1,w}(j3) over t, on pmf_w(j3):
+        # n pmf_{n-1,w}(j3) = (n - j3) pmf_w(j3) / (1 - w)
+        on_p = -rho_k
+        edge += rho * cm1 * (width_x / rc_x) * ((n - j3) / one_m_w) * gl_mean(ratio, half)
     # on_p weighs Bin_{1-w'}(j3) = upper_{w'}(j2 - 1) + [n + f odd] pmf_{w'}(j2 - 1)
-    weights = (1.0, -ms_disc, ms_disc * math.exp(log_pow) + on_p, par.u, on_p, on_last)
-    if not all(map(math.isfinite, weights)):
+    weights = (on_w, -ms_disc, ms_disc * math.exp(log_pow) + on_p, edge, on_p)
+    if not all(map(math.isfinite, (constant, *weights))):
         raise ModelError(f"reduced form: a weight overflows past {sys.float_info.max:.6g}, "
                          f"got n={n}, f={floor}")
-    return weights
+    return constant, weights
 
 
 def _step_back(col: np.ndarray, lane: int, ghosts: bool, start: int, top: int, end: int,

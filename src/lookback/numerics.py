@@ -51,27 +51,26 @@ in chunks of ceil(12 sd + 10) terms, which also cap the first.
 A vectorised pmf call of a few hundred terms is mostly fixed numpy
 cost, so ``binom_cdfs`` sums many CDFs from few kernel calls, and
 evaluates each pmf entry of their first chunks once.  It checks every
-spec first and keeps one small record per walk, with its first chunk as
-an interval of indices.  It then sorts the records by (n, p, first
+spec first and keeps one small record per walk, with its first chunk
+as an interval of indices.  It then sorts the records by (n, p, first
 index) and sweeps them into segments: the intervals of one (n, p) that
 overlap or touch merge into one.  A reduced price's two sums in w' are
 taken at j1 - 1 and j1 + f, so at f = 0 their first chunks nearly
-coincide.  Whole segments go, in that order, into kernel calls, with
-the (n, p) constants of the kernel repeated per entry, and each walk
-sums its own slice of its call's terms and applies its tail rule.  The
-rare walk that goes on sums its later chunks alone, one call per chunk.
-As the records are sorted, the order of the specs changes neither
-which entries are evaluated nor how many kernel calls run.  A call's
-terms are released once it is summed, so a spec list as long as a
-whole grid of reduced prices holds the terms of one call at a time,
-besides the records.  A call over two or more segments holds at most
-4,096 entries: one merged call over 7 x 6,000 entries takes 3.1 ms
-against 1.7 ms for seven separate calls (2-CPU x86 VM, n = 1e6), as
-its temporaries spill out of L2.  A lone segment may pass the cap, as
-splitting it would evaluate its shared entries twice, and so may one
-after single terms: a term that makes a segment of its own, such as a
-reduced price's midpoint pmf of n - 1 before the segments of n, goes
-into the call of the segment after it rather than one of its own.
+coincide, and each of its two pmf terms lies in or next to the first
+chunk of a sum of the same (n, p).  Whole segments go, in that order,
+into kernel calls, with the (n, p) constants of the kernel repeated
+per entry, and each walk sums its own slice of its call's terms and
+applies its tail rule.  The rare walk that goes on sums its later
+chunks alone, one call per chunk.  As the records are sorted, the
+order of the specs changes neither which entries are evaluated nor how
+many kernel calls run.  A call's terms are released once it is summed,
+so a spec list as long as a whole grid of reduced prices holds the
+terms of one call at a time, besides the records.  A call over two or
+more segments holds at most 4,096 entries: one merged call over
+7 x 6,000 entries takes 3.1 ms against 1.7 ms for seven separate calls
+(2-CPU x86 VM, n = 1e6), as its temporaries spill out of L2.  A lone
+segment may pass the cap, as splitting it would evaluate its shared
+entries twice.
 
 A walk sums its slice through a ``memoryview``, from its start
 outward, so a down walk reads its slice reversed.  ``fsum`` over a
@@ -173,10 +172,11 @@ _GL_WEIGHTS = (0.18134189168918083, 0.15685332293894344, 0.11119051722668721,
 # spread of 2.  Above it the direct difference does not cancel: its end
 # values differ by about e^{spread}, or its interval is wide against the
 # scale on which f changes.  The cap is low because the lattice's mean
-# forms pmf ratios in floats, whose rounding grows as n times the width:
-# against exact CDF differences its mean is within 3.2e-15 at spread 1
-# for n up to 1e6, but off by 2.8e-14 at spread 8 and n = 1e6, where
-# the direct difference costs a few ulps.
+# forms pmf ratios in floats from one end of its interval, whose rounding
+# grows as n times the offset: against the exact mean of the same ratios
+# it is within 1.8e-14 at spread 1 for n up to 1e6, and 6.9e-14 at
+# spread 2 and n = 1e6, where the direct difference costs a few ulps;
+# at spread 8 the 8-point rule itself is off by 9e-8.
 GL_MAX_SPREAD = 1.0
 
 # Most pmf entries in one kernel call that packs chunks of several CDFs:
@@ -450,20 +450,17 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
     segments: the first chunks of one (n, p) that overlap or touch merge
     into one.  Whole segments go into kernel calls in that order, and a
     call closes before a segment that would take it past ``_PACK_MAX``
-    entries, unless the call holds single terms only and the segment is
-    not one (a lone segment may pass the cap, as may one after single
-    terms).  Each walk sums its own slice
-    of its call's terms, and then either stops or, rarely, goes on
-    alone, one kernel call per later chunk.  So no pmf entry of a first
+    entries, so only a lone segment passes the cap.  Each walk sums its
+    own slice of its call's terms, and then either stops or, rarely, goes
+    on alone, one kernel call per later chunk.  So no pmf entry of a first
     chunk is evaluated twice, and the order of the specs changes neither
     which entries are evaluated nor how many kernel calls run.  A call
-    pays a fixed numpy cost that dominates a chunk of a few hundred
-    terms, so a reduced price's specs at n <= 5000 take one call, not
-    one each, and a grid of such prices shares its calls as well.  The
-    terms of a call are released once it is summed; the walks are held
-    as one small record each until the end.  A walk adds the same terms
-    whatever it is packed with, so the result does not depend on the
-    other specs.
+    pays a fixed numpy cost that dominates a chunk of a few hundred terms,
+    so a reduced price's specs at n <= 5000 take one call, not one each,
+    and a grid of such prices shares its calls as well.  The terms of a
+    call are released once it is summed; the walks are held as one small
+    record each until the end.  A walk adds the same terms whatever it is
+    packed with, so the result does not depend on the other specs.
     """
     out = []
     walks = []  # (n, p, first chunk's least index, its length, slot in out, step, flipped)
@@ -492,8 +489,7 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
     pack, size = [], 0  # the segments of the next kernel call, and their entries
     for segment in _segments(walks):
         entries = segment[3] - segment[2]
-        # single terms go with the segment after them, even past the cap
-        if pack and size + entries > _PACK_MAX and (entries == 1 or size > len(pack)):
+        if pack and size + entries > _PACK_MAX:
             _run_walks(pack, out)
             pack, size = [], 0
         pack.append(segment)

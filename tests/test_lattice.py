@@ -549,6 +549,49 @@ class TestReducedBothSides:
         if rate <= 0.01 or rate == 0.3:
             assert bool(means) == (rate <= 0.01)
 
+    def test_two_v3_routes_agree(self, monkeypatch):
+        """V3's CDF difference taken as a Gauss-Legendre mean and taken
+        directly give the same price within 2e-13 relative, on markets
+        whose spread lies in [0.5, 1.5] either side of ``GL_MAX_SPREAD``,
+        at n from 1e3 to 1e5 where neither the tree nor ``price_closed``
+        checks them (worst seen 5.5e-14 on these 60, and 1.2e-13 over 1,096
+        drawn alike)."""
+        rng = random.Random(26)
+        worst, markets = [], 0
+        while markets < 60:
+            side = rng.choice(("call", "put"))
+            ratio = math.exp(rng.uniform(0.0, 0.3))
+            market = MarketState(spot=100.0, extremum=100.0 / ratio if side == "call"
+                                 else 100.0 * ratio,
+                                 sigma=math.exp(rng.uniform(math.log(0.05), math.log(0.6))),
+                                 rate=rng.uniform(0.01, 0.3), tau=rng.uniform(0.25, 3.0))
+            n = int(math.exp(rng.uniform(math.log(1e3), math.log(1e5))))
+            if not 0.5 <= _v3_spread(market, n, side) <= 1.5:
+                continue
+            markets += 1
+            prices = []
+            for cap in (0.0, math.inf):
+                monkeypatch.setattr(lattice, "GL_MAX_SPREAD", cap)
+                prices.append(price_closed_reduced(market, n, side))
+            direct, mean = prices
+            worst.append((abs(mean - direct) / abs(direct), side, n))
+        err, side, n = max(worst)
+        assert err <= 2e-13, f"{side}, n = {n}: {err:.2e}"
+
+
+def _v3_spread(market: MarketState, n: int, side: str) -> float:
+    """About the spread that ``_reduced_weights`` weighs against
+    ``GL_MAX_SPREAD``: the width of V3's interval [w, 1 - w'], formed by
+    subtraction, times the largest |d/dt log pmf_{n-1,t}(j3)| on it; -1
+    where j3 < 0."""
+    par = tree_params(market, n, side)
+    j3 = n - (n + par.j0_floor) // 2 - 1
+    if j3 < 0:
+        return -1.0
+    width = 1.0 - par.p_up - par.q_adj
+    return abs(width) * max(abs(j3 / t - (n - 1 - j3) / (1.0 - t))
+                            for t in (par.q_adj, par.one_m_p))
+
 
 # (spot, sigma, rate, tau, n) of calls at emission whose log step
 # s = sigma sqrt(tau/n) is about 1.1e-5
@@ -572,8 +615,12 @@ def test_small_step_at_emission_against_mp_closed_sum(spot, sigma, rate, tau, n)
     assert abs(got - ref) <= 1e-11 * abs(ref), f"{(got - ref) / ref:.2e}"
 
 
-def _branches(market: MarketState, ns, side: str) -> set[str]:
-    """The branches of the reduced form that the prices of a grid take."""
+def _branches(market: MarketState, ns, side: str, monkeypatch) -> set[str]:
+    """The branches of the reduced form that the prices of a grid take.
+    V3's difference is direct where a price runs no ``gl_mean``."""
+    means = []
+    gl_mean = lattice.gl_mean
+    monkeypatch.setattr(lattice, "gl_mean", lambda *args: means.append(1) or gl_mean(*args))
     taken = set()
     for n in ns:
         par = tree_params(market, n, side)
@@ -583,7 +630,9 @@ def _branches(market: MarketState, ns, side: str) -> set[str]:
             continue
         if n_inner % 2 == 0:
             taken.add("parity edge")
-        if lattice._v3_interval(market, par)[2]:
+        means.clear()
+        price_closed_reduced(market, n, side)
+        if not means:
             taken.add("direct difference")
     return taken
 
@@ -604,8 +653,8 @@ class TestReducedGrid:
         (T1_FAST, "call", (3, 50, 499, 500), "direct difference"),
         (T3_FAST, "put", (3, 50, 499, 500), "direct difference"),
     ])
-    def test_branches_equal_the_loop(self, market, side, ns, branch):
-        assert branch in _branches(market, ns, side)
+    def test_branches_equal_the_loop(self, market, side, ns, branch, monkeypatch):
+        assert branch in _branches(market, ns, side, monkeypatch)
         assert price_closed_reduced_grid(market, ns, side) == [
             price_closed_reduced(market, n, side) for n in ns]
 
@@ -665,8 +714,8 @@ class TestReducedPackedPass:
 
     @pytest.mark.parametrize("market,side", TABLE_SIDES)
     def test_packed_calls_within_cap(self, market, side, monkeypatch):
-        """A call holds at most ``_PACK_MAX`` entries unless it is one
-        segment, or single terms and the segment after them."""
+        """A call over two or more segments holds at most ``_PACK_MAX``
+        entries."""
         chunk_terms, calls = numerics._chunk_terms, []
 
         def recording(chunks):
@@ -677,8 +726,7 @@ class TestReducedPackedPass:
         for n in [5000, 10**4, 3 * 10**4, 10**5, 10**6]:
             price_closed_reduced(market, n, side)
         packed = [sizes for sizes in calls if len(sizes) > 1]
-        assert packed and all(sum(sizes) <= numerics._PACK_MAX or set(sizes[:-1]) == {1}
-                              for sizes in packed), packed
+        assert packed and all(sum(sizes) <= numerics._PACK_MAX for sizes in packed), packed
 
     @pytest.mark.parametrize("market,side,n,calls", [
         (T4, "put", 10**6, 3),
@@ -687,14 +735,21 @@ class TestReducedPackedPass:
                      sigma=0.1968400610033863, rate=0.0, tau=1.3905743117616243),
          "put", 886_489, 2),
     ])
-    def test_midpoint_pmf_shares_a_call(self, market, side, n, calls, kernel_calls):
-        """The midpoint pmf, one term of (n - 1, p), sorts before the
-        segments of n and goes into the call of the first of them, which
-        alone passes the cap."""
+    def test_terms_are_the_prices_own(self, market, side, n, calls, kernel_calls,
+                                      monkeypatch):
+        """Every pmf term of a price is of its own (n, q_adj) or
+        (n, p_up): no term of n - 1 is left."""
+        chunk_terms, pairs = numerics._chunk_terms, set()
+
+        def recording(chunks):
+            pairs.update((m, p) for m, p, _ in chunks)
+            return chunk_terms(chunks)
+
+        monkeypatch.setattr(numerics, "_chunk_terms", recording)
         price_closed_reduced(market, n, side)
         assert len(kernel_calls) == calls, kernel_calls
-        entries, packed = kernel_calls[0]
-        assert packed and entries > numerics._PACK_MAX
+        par = tree_params(market, n, side)
+        assert pairs and pairs <= {(n, par.q_adj), (n, par.p_up)}, pairs
 
 
 def _exact_pair(t: float, one_m: float) -> tuple[float, float]:
