@@ -85,8 +85,9 @@ Side = Literal["call", "put"]
 # below any economically meaningful level difference.
 LEVEL_SNAP = 1e-9
 
-# Largest n of the O(n^2) tree, and of closed and figure5 on the CLI: a
-# whole grid 1..N costs O(N^2) either way.
+# Largest n of the O(n^2) tree, and of closed and figure5 on the CLI.  A
+# figure5 grid 2..N of reduced prices sums O(sqrt(n)) pmf terms for each
+# n, about O(N^1.5) in all (2.8e6 pmf entries at N = 5000).
 TREE_MAX_N = 5000
 
 # Steps of the tree whose slice views are built together, so that a step
@@ -437,11 +438,15 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     edge term leaves u pmf_w(j3).  Bin_{1-w'}(j3) reads V2's sum
     upper_{w'}(j2 - 1), plus [n + f odd] pmf_{w'}(j2 - 1).  The price is
     then a constant plus three CDFs, upper_w(j3), upper_{w'}(j3) and
-    upper_{w'}(j2 - 1), and two pmfs, pmf_w(j3) and pmf_{w'}(j2 - 1),
-    each times a weight (``_reduced_weights``); no sum runs in 1 - w or
-    1 - w', and no term in n - 1.  Where one of rho'^{-(f+1)} and e^E,
-    or a weight, overflows (low-volatility puts at r > 0, where f runs
-    into the thousands), the price is refused with ModelError.
+    upper_{w'}(j2 - 1), and a pmf, pmf_w(j3), each times a weight, and at
+    odd n + f a second pmf, pmf_{w'}(j2 - 1): ``_reduced_terms`` lists
+    them as (spec, weight) pairs.  No sum runs in 1 - w or 1 - w', and
+    no term in n - 1.  Where j0 >= n no path is absorbed, and the price
+    is the constant 1 - c^{j0} e^{-r tau}, with no term.  Where one of
+    rho'^{-(f+1)} and e^E, or a weight, overflows (low-volatility puts at
+    r > 0, where f runs into the thousands), or where rho' rounds to 0
+    (s of about 35.7 to 37.4, just below where ``tree_params`` refuses),
+    the price is refused with ModelError.
 
     At r = 0, 1 - w' = w and rho c = 1, so both quotients are 0/0; each
     is written to stay finite there.  With x = r tau/n, rho c - 1 and
@@ -464,14 +469,14 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     (w_up, w_dn) would carry the rounding of 1.0 - w into them.
 
     The three CDFs of O(sqrt(n)) time each (see ``binom_cdf_exact``) and
-    the two pmfs, as single-term specs, go to one ``binom_cdfs`` call:
-    five specs, all of (n, w) or (n, w').  Each pmf lies in or next to
-    the first chunk of a sum of its own (n, p), so that call evaluates
-    each pmf entry once, in pmf kernel calls that hold at most 4,096
-    entries unless one segment fills them alone.  On the table markets
-    that is one call up to n = 1e5, two from 1.3e5 to 2.4e5 and three
-    from 2.8e5 on: the segments of w' at j3 and at j2 - 1 and of w at
-    j3.  This is ``price_closed_reduced_grid`` at the one n; a grid makes
+    the one or two pmfs, as single-term specs, go to one ``binom_cdfs``
+    call: four or five specs, all of (n, w) or (n, w').  Each pmf lies in
+    or next to the first chunk of a sum of its own (n, p), so that call
+    evaluates each pmf entry once, in pmf kernel calls that hold at most
+    4,096 entries unless one segment fills them alone.  On the table
+    markets that is one call up to n = 1e5, two from 1.3e5 to 2.4e5 and
+    three from 2.8e5 on: the segments of w' at j3 and at j2 - 1 and of w
+    at j3.  This is ``price_closed_reduced_grid`` at the one n; a grid makes
     one ``binom_cdfs`` call for all its n, and their chunks share kernel
     calls too.  Against ``price_closed`` on the table markets at
     n = 1e4, 1e5 and 1e6 the result stays within 3.1e-14 relative on T1,
@@ -494,53 +499,42 @@ def price_closed_reduced_grid(market: MarketState, n_values: Sequence[int],
     as within each price.  On each table market a window of 16
     consecutive n takes 1 kernel call at n = 2..17 and at 100..115 and 2
     at 1000..1015, where priced one n at a time it takes 16.  Each n
-    streams its five ``_reduced_specs`` into that call, and its price is
-    the ``fsum`` of the constant of its ``_reduced_weights`` and their
-    weights times its results, read in order; it is the same, bit for
-    bit, as when priced alone.  Per n the grid keeps its ``TreeParams``,
-    the constant and the weights until the call returns, and
-    ``binom_cdfs`` a record per walk.  An n that ``tree_params``, the
-    weights or the CDFs refuse raises what the loop of single prices
-    would raise, before any CDF is summed.
+    streams the specs of its ``_reduced_terms`` into that call, and its
+    price is the ``fsum`` of its constant and each term's weight times
+    its result, read in order; it is the same, bit for bit, as when
+    priced alone.  Per n the grid keeps its ``TreeParams``, the constant
+    and the terms until the call returns, and ``binom_cdfs`` a record per
+    walk.  An n that ``tree_params``, the weights or the CDFs refuse
+    raises what the loop of single prices would raise, before any CDF is
+    summed.
     """
     plans = []
     for n in n_values:
         par = tree_params(market, n, side)
         # the first spec's check, made where a loop of single prices makes it
         _check_binom_args(par.n, par.q_adj)
-        plans.append((par, *_reduced_weights(market, par)))
-    cdf = iter(binom_cdfs(spec for par, _, _ in plans for spec in _reduced_specs(par)))
-    # zip stops at the end of the weights, so each price takes its own results
+        plans.append((par, *_reduced_terms(market, par)))
+    cdf = iter(binom_cdfs(spec for _, _, terms in plans for spec, _ in terms))
+    # zip stops at the end of the terms, so each price takes its own results
     return [_signed_price(par, market.spot,
-                          math.fsum((constant, *(wt * v for wt, v in zip(weights, cdf)))))
-            for par, constant, weights in plans]
+                          math.fsum((constant, *(wt * v for (_, wt), v in zip(terms, cdf)))))
+            for par, constant, terms in plans]
 
 
-def _reduced_specs(par: TreeParams) -> tuple[tuple, ...]:
-    """The five ``binom_cdfs`` specs of one reduced price, all of (n, w)
-    or (n, w'), in the order of ``_reduced_weights``: the upper sums in w
-    and w' at j1 - 1 = j3, the upper sum in w' at j2 - 1, the pmf of w at
-    j3, and the pmf of w' at j2 - 1, taken at -1, which gives 0.0, unless
-    n + f is odd.  Where j0 >= n (n - f - 1 < 0), j2 - 1 >= n and j3 < 0,
-    so only the first two specs sum anything."""
-    n, floor = par.n, par.j0_floor
-    w, wp = par.q_adj, par.p_up
-    j3 = n - (n + floor) // 2 - 1
-    j2 = j3 + floor + 2
-    odd = (n + floor) % 2
-    return ((n, w, j3, True), (n, wp, j3, True), (n, wp, j2 - 1, True),
-            (n, w, j3, None), (n, wp, j2 - 1 if odd else -1, None))
-
-
-def _reduced_weights(market: MarketState, par: TreeParams) -> tuple[float, tuple[float, ...]]:
-    """(constant, weights): the reduced price per unit spot is the
-    constant plus the weights times the results of ``_reduced_specs``,
-    in their order; ModelError where a weight leaves the float range."""
+def _reduced_terms(market: MarketState, par: TreeParams) -> tuple[float, tuple[tuple, ...]]:
+    """(constant, terms): the reduced price per unit spot is the constant
+    plus, for each (spec, weight) of terms, the weight times the
+    ``binom_cdfs`` result of the spec.  The specs are all of (n, w) or
+    (n, w'): the upper sums in w and w' at j3, the upper sum in w' at
+    j2 - 1, the pmf of w at j3, and, only when n + f is odd, the pmf of
+    w' at j2 - 1.  Where j0 >= n no path is absorbed, and the price is
+    the constant 1 - ms_disc with no terms.  ModelError where rho'^-(f+1),
+    e^E or a weight leaves the float range."""
     n, floor = par.n, par.j0_floor
     # extremum/spot as c^{j0}: consistent with the snapped level
     ms_disc = math.exp(-par.j0 * par.s) * math.exp(-market.rate * market.tau)
-    if n - floor - 1 < 0:
-        return 0.0, (1.0, -ms_disc, 0.0, 0.0, 0.0)
+    if floor >= n:
+        return 1.0 - ms_disc, ()
     rho, rc_m1 = par.Q, par.Qdm1
     c, cm1 = par.d, math.expm1(-par.s)
     x = market.rate * (market.tau / n)
@@ -548,7 +542,9 @@ def _reduced_weights(market: MarketState, par: TreeParams) -> tuple[float, tuple
     rc_x = (1.0 + c) * expm1_ratio(-x) / (math.expm1(-x) - cm1)
     # K = e^E c + (c - 1) expm1(E)/(rho c - 1), with r tau/(rho c - 1) = n/rc_x
     big_e = -market.rate * market.tau - (floor + 2) * math.log1p(rc_m1)
-    log_pow = -(floor + 1) * math.log1p(par.Pm1)  # log rho'^-(f+1)
+    # log rho'^-(f+1); rho' rounds to 0 (Pm1 to -1) near the step where
+    # tree_params refuses, and log rho' = -inf then refuses here
+    log_pow = -(floor + 1) * (math.log1p(par.Pm1) if par.Pm1 > -1.0 else -math.inf)
     if not max(big_e, log_pow) <= _LOG_FLOAT_MAX:
         raise ModelError(f"reduced form: rho'^-(f+1) = e^{log_pow:.6g} or e^E = e^{big_e:.6g} "
                          f"overflows: need both exponents below {_LOG_FLOAT_MAX:.6g}, "
@@ -556,7 +552,9 @@ def _reduced_weights(market: MarketState, par: TreeParams) -> tuple[float, tuple
     e_over_rc = -n / rc_x - (floor + 2) * log1p_ratio(rc_m1)
     rho_k = rho * (math.exp(big_e) * c + cm1 * expm1_ratio(big_e) * e_over_rc)
     j3 = n - (n + floor) // 2 - 1
-    w, one_m_w = par.q_adj, par.one_m_q
+    j2_m1 = j3 + floor + 1
+    odd = (n + floor) % 2
+    w, wp, one_m_w = par.q_adj, par.p_up, par.one_m_q
     # 1 - w' - w = x width_x is finite and nonzero at x = 0:
     # 2 sinh(x) / x = expm1(x)/x + expm1(-x)/-x
     width_x = -(expm1_ratio(x) + expm1_ratio(-x)) / (2.0 * math.sinh(par.s))
@@ -566,7 +564,7 @@ def _reduced_weights(market: MarketState, par: TreeParams) -> tuple[float, tuple
     spread = 2.0 * abs(half) * max(abs(j3 / t - (n - 1 - j3) / (1.0 - t))
                                    for t in (w, par.one_m_p))
     # pmf_w(j3) is summed at both parities; u times it only at odd n + f
-    on_w, constant, edge = 1.0, 0.0, par.u if (n + floor) % 2 else 0.0
+    on_w, constant, edge = 1.0, 0.0, par.u if odd else 0.0
     if spread > GL_MAX_SPREAD:
         # rho (c - 1) (Bin_{1-w'}(j3) - Bin_w(j3)) / (rho c - 1) taken
         # directly, with Bin_w(j3) = 1 - upper_w(j3)
@@ -582,12 +580,16 @@ def _reduced_weights(market: MarketState, par: TreeParams) -> tuple[float, tuple
         # n pmf_{n-1,w}(j3) = (n - j3) pmf_w(j3) / (1 - w)
         on_p = -rho_k
         edge += rho * cm1 * (width_x / rc_x) * ((n - j3) / one_m_w) * gl_mean(ratio, half)
-    # on_p weighs Bin_{1-w'}(j3) = upper_{w'}(j2 - 1) + [n + f odd] pmf_{w'}(j2 - 1)
-    weights = (on_w, -ms_disc, ms_disc * math.exp(log_pow) + on_p, edge, on_p)
-    if not all(map(math.isfinite, (constant, *weights))):
+    # on_p weighs Bin_{1-w'}(j3) = upper_{w'}(j2 - 1) + [n + f odd] pmf_{w'}(j2 - 1),
+    # so the pmf of w' at j2 - 1 is a term only at odd n + f
+    terms = (((n, w, j3, True), on_w), ((n, wp, j3, True), -ms_disc),
+             ((n, wp, j2_m1, True), ms_disc * math.exp(log_pow) + on_p),
+             ((n, w, j3, None), edge), ((n, wp, j2_m1, None), on_p))[:4 + odd]
+    # on_p is finite wherever the weight of upper_{w'}(j2 - 1) is
+    if not all(math.isfinite(wt) for wt in (constant, *(wt for _, wt in terms))):
         raise ModelError(f"reduced form: a weight overflows past {sys.float_info.max:.6g}, "
                          f"got n={n}, f={floor}")
-    return constant, weights
+    return constant, terms
 
 
 def _step_back(col: np.ndarray, lane: int, ghosts: bool, start: int, top: int, end: int,
@@ -631,35 +633,38 @@ def _step_back(col: np.ndarray, lane: int, ghosts: bool, start: int, top: int, e
 def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     """Risk-neutral backward induction on the level lattice.
 
-    f = j0_floor.  At time t (t steps after the start) only levels within
-    t of the start can reach it, so each step updates a window of cells
-    that holds those levels; ``_step_back`` runs every layout below.
+    f = j0_floor and m = min(f, n).  At time t (t steps after the start)
+    only levels within t of the start can reach it, so each step updates
+    a window of cells that holds those levels; ``_step_back`` runs every
+    window.  Absorption takes f + 1 down moves, so no path reaches level
+    0 before time f, and from a start with f >= n none ever does.
 
-    A fractional start that paths can be absorbed from (f < n) has two
-    level sets: G over the integer levels an absorbed path can end on,
-    and F over the fractional levels j0_frac + g.  At time t the start
-    reaches G_0 .. G_{t-f-1} and F_{max(0, f-t)} .. F_{f+t}.  While
-    t >= f the two sets are interleaved in one lane-2 array, G_g at
-    2(g + 1) and F_g at 2(g + 1) + 1.  A down move from integer 0 stays
-    at 0 and one from F_0 is absorbed at 0, so both ghost cells 0 and 1
-    hold G_0, and every cell steps by new[i] = w_up x[i+2] + w_dn x[i-2]
-    over the window [2, 2(f + t + 2)).  The window also holds
-    G_{t-f} .. G_{f+t}, which no path from the start reaches; they read
-    only G cells, and no reachable cell reads them.  Before time f no
-    path reaches an integer level, so at t = f the cells F_0 .. F_{2f}
-    are copied out of the odd lane once and stepped alone, 2t + 1 of
-    them at time t and no ghosts.  In all a price steps about
-    n^2 + 2fn - 2f^2 cells; G and F end to end in one column would step
-    n + t + 2 a step, about 1.5 n^2.  The G lane's unreached cells run up
-    to level f + n, below F's top level, so ``_payoffs`` refuses the same
-    markets as with G over 0 .. n - f - 1 alone.
-
-    An integer start holds [ghost, G_0 ... G_{f+n}] and steps G_0 ..
-    G_{f+t} while t >= f; at t = f it copies G_0 .. G_{2f} out and steps
-    them alone like F, about n(f + n/2) - f^2/2 cells in all.  A start
-    that no path can be absorbed from (f >= n: absorption takes f + 1
-    down moves) holds its own levels f - n .. f + n, no ghosts, and steps
-    the 2t + 1 within t of the start, about n^2 cells.
+    Every start holds the levels f - m - 1 .. f + n of its own set in one
+    column, below them a ghost cell, and steps it with ghosts from time
+    n - 1 down to m.  A fractional start below n has two level sets: G
+    over the integer levels an absorbed path can end on, and F over the
+    fractional levels j0_frac + g; at time t the start reaches G_0 ..
+    G_{t-f-1} and F_{max(0, f-t)} .. F_{f+t}.  Its column interleaves
+    them in lane 2, G_g at 2(g + 1) and F_g at 2(g + 1) + 1.  A down move
+    from integer 0 stays at 0 and one from F_0 is absorbed at 0, so both
+    ghost cells 0 and 1 hold G_0, and every cell steps by
+    new[i] = w_up x[i+2] + w_dn x[i-2] over the window [2, 2(f + t + 2)).
+    The window also holds G_{t-f} .. G_{f+t}, which no path from the
+    start reaches; they read only G cells, and no reachable cell reads
+    them.  Every other start holds its one set in lane 1: an integer
+    start below n the levels -1 .. f + n, stepped over G_0 .. G_{f+t};
+    any start with f >= n the levels f - n - 1 .. f + n, with no step to
+    take.  At time m the levels f - m .. f + m of the start's lane are
+    copied out once and stepped alone to the start, 2t + 1 of them at
+    time t and no ghosts.  In all a fractional start below n steps about
+    n^2 + 2fn - 2f^2 cells, where G and F end to end in one column would
+    step n + t + 2 a step, about 1.5 n^2; an integer start below n about
+    n(f + n/2) - f^2/2; and a start with f >= n about n^2.  G's unreached
+    cells run up to level f + n, below F's top level, so ``_payoffs``
+    refuses the same markets as with G over 0 .. n - f - 1 alone.  The
+    levels are built from integer bounds, so the column has its 2n + 2
+    or more cells even where f is past 2^53 and binary64 levels are no
+    longer integers.
 
     The cells step by the pair (w_up, w_dn), which sums to 1 exactly,
     over the call's payoffs; a put is sign(s) times that, on its own
@@ -675,20 +680,16 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
         )
     floor, frac, s = par.j0_floor, par.j0_frac, par.s
     w = np.float64(par.w_up), np.float64(par.w_dn)
-    if floor < n:
-        # Level g of the start's own set sits at cell lane (g + 1) + lane - 1:
-        # lane 2 interleaves G and F, lane 1 holds G alone.  A ghost's
-        # level is -1 (or -1 + frac); its value is replaced by G_0 before
-        # it is read.
-        lane = 2 if frac > 0.0 else 1
-        levels = np.add.outer(np.arange(-1.0, floor + n + 1), (0.0, frac)[:lane]).ravel()
-        col = _step_back(_payoffs(levels, s), lane, True, lane * (floor + 2) - 1,
-                         n - 1, floor, *w)
-        col = col[2 * lane - 1:lane * (2 * floor + 2):lane].copy()
-    else:
-        col = _payoffs(frac + np.arange(floor - n, floor + n + 1, dtype=np.float64), s)
-    # col holds levels f - m .. f + m at time m = min(f, n); before time m
-    # no path reaches level 0, so they step to the start, cell m, without
-    # ghosts
-    m = len(col) // 2
+    m = min(floor, n)
+    # Level g of the start's own set sits at cell lane (g - f + m + 1) + lane - 1:
+    # lane 2 interleaves G and F, lane 1 holds one set.  Cell 0 (and 1)
+    # is a ghost at level f - m - 1, which a step overwrites with G_0
+    # before it reads it.
+    lane = 2 if 0.0 < frac and floor < n else 1
+    levels = np.add.outer(np.arange(floor - m - 1, floor + n + 1, dtype=np.float64),
+                          (0.0, frac)[2 - lane:]).ravel()
+    col = _step_back(_payoffs(levels, s), lane, True, lane * (m + 2) - 1, n - 1, m, *w)
+    # levels f - m .. f + m at time m; before time m no path reaches
+    # level 0, so they step to the start, cell m, without ghosts
+    col = col[2 * lane - 1:lane * (2 * m + 2):lane].copy()
     return math.copysign(market.spot, s) * float(_step_back(col, 1, False, m, m - 1, 0, *w)[m])

@@ -51,8 +51,9 @@ in chunks of ceil(12 sd + 10) terms, which also cap the first.
 A vectorised pmf call of a few hundred terms is mostly fixed numpy
 cost, so ``binom_cdfs`` sums many CDFs from few kernel calls, and
 evaluates each pmf entry of their first chunks once.  It checks every
-spec first and keeps one small record per walk, with its first chunk
-as an interval of indices.  It then sorts the records by (n, p, first
+spec first and keeps one small record per walk, with the walk's index
+range and its first chunk as an interval of indices; a single term is
+a walk over its one index.  It then sorts the records by (n, p, first
 index) and sweeps them into segments: the intervals of one (n, p) that
 overlap or touch merge into one.  A reduced price's two sums in w' are
 taken at j1 - 1 and j1 + f, so at f = 0 their first chunks nearly
@@ -440,30 +441,31 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
     second shrinks, so along either walk r_k never increases, and it is
     below 1 from the start, past the mean: the unsummed tail is at most
     the geometric series t_a (r_a + r_a^2 + ...) = t_a r_a / (1 - r_a).
-    A walk also stops when its range runs out: a sum's at the end of the
-    support, where r_a = 0 would stop it too, and a single term's after
-    one term.
+    A walk also stops when its index range runs out: a sum's at the end
+    of the support, where r_a = 0 would stop it too.  A single term is a
+    walk over the one index j, which stops after that term.
 
-    Every spec is checked, and its walk's first chunk placed, before any
-    term is summed, so a refused spec raises before any kernel call.
-    The walks are then sorted by (n, p, first index) and swept into
-    segments: the first chunks of one (n, p) that overlap or touch merge
-    into one.  Whole segments go into kernel calls in that order, and a
-    call closes before a segment that would take it past ``_PACK_MAX``
-    entries, so only a lone segment passes the cap.  Each walk sums its
-    own slice of its call's terms, and then either stops or, rarely, goes
-    on alone, one kernel call per later chunk.  So no pmf entry of a first
-    chunk is evaluated twice, and the order of the specs changes neither
-    which entries are evaluated nor how many kernel calls run.  A call
-    pays a fixed numpy cost that dominates a chunk of a few hundred terms,
-    so a reduced price's specs at n <= 5000 take one call, not one each,
-    and a grid of such prices shares its calls as well.  The terms of a
-    call are released once it is summed; the walks are held as one small
-    record each until the end.  A walk adds the same terms whatever it is
-    packed with, so the result does not depend on the other specs.
+    Every spec is checked, and its walk's index range and first chunk
+    placed, before any term is summed, so a refused spec raises before any
+    kernel call.  The walks are then sorted by (n, p, first index) and
+    swept into segments: the first chunks of one (n, p) that overlap or
+    touch merge into one.  Whole segments go into kernel calls in that
+    order, and a call closes before a segment that would take it past
+    ``_PACK_MAX`` entries, so only a lone segment passes the cap.  Each
+    walk sums its own slice of its call's terms, and then either stops or,
+    rarely, goes on alone, one kernel call per later chunk.  So no pmf
+    entry of a first chunk is evaluated twice, and the order of the specs
+    changes neither which entries are evaluated nor how many kernel calls
+    run.  A call pays a fixed numpy cost that dominates a chunk of a few
+    hundred terms, so a reduced price's specs at n <= 5000 take one call,
+    not one each, and a grid of such prices shares its calls as well.  The
+    terms of a call are released once it is summed; the walks are held as
+    one small record each until the end.  A walk adds the same terms
+    whatever it is packed with, so the result does not depend on the other
+    specs.
     """
     out = []
-    walks = []  # (n, p, first chunk's least index, its length, slot in out, step, flipped)
+    walks = []  # (n, p, first chunk's least index, its length, slot in out, walk, flipped)
     for n, p, j, upper in specs:
         _check_binom_args(n, p)
         j = as_index(j, "j")
@@ -472,18 +474,16 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
             if not 0 <= j <= n:
                 out.append(0.0)
                 continue
-            lo, first, step = j, 1, 0
+            walk, first = range(j, j + 1), 1
         elif j < 0 or j >= n:
             out.append(1.0 if (j < 0) == upper else 0.0)
             continue
         else:
             # a sum that holds the bulk is one minus the sum on its short side
             flip = j + 1 <= n * p if upper else j >= n * p
-            step = 1 if upper != flip else -1
-            walk = range(j + 1, n + 1) if step > 0 else range(j, -1, -1)
+            walk = range(j + 1, n + 1) if upper != flip else range(j, -1, -1)
             first = min(_first_chunk(n, p, walk), len(walk))
-            lo = j + 1 if step > 0 else j + 1 - first
-        walks.append((n, p, lo, first, len(out), step, flip))
+        walks.append((n, p, min(walk[0], walk[first - 1]), first, len(out), walk, flip))
         out.append(math.nan)
     walks.sort()
     pack, size = [], 0  # the segments of the next kernel call, and their entries
@@ -526,13 +526,10 @@ def _run_walks(segments: list[list], out: list[float]) -> None:
     terms = memoryview(_chunk_terms([(n, p, range(a, b)) for n, p, a, b, _ in segments]))
     offset = 0
     for n, p, a, b, walks in segments:
-        for _, _, lo, first, slot, step, flip in walks:
+        for _, _, lo, first, slot, walk, flip in walks:
             summed = terms[offset + lo - a:offset + lo - a + first]
-            if step < 0:
+            if walk.step < 0:
                 summed = summed[::-1]
-            # a single term's walk (step 0) is its one index
-            walk = (range(lo, n + 1) if step > 0 else range(lo + first - 1, -1, -1) if step
-                    else range(lo, lo + 1))
             while True:
                 end, partial = len(summed), math.fsum(summed)
                 ratio = _step_ratio(n, p, walk[end - 1], walk.step)

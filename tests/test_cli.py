@@ -304,6 +304,17 @@ class TestMainErrors:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ModelError"
 
+    def test_reduced_where_rho_prime_rounds_to_zero_exits_2(self, capsys):
+        """At s = sigma sqrt(tau/n) = 36.4, just below where tree_params
+        refuses, rho' = P rounds to 0: the reduced form refuses as for an
+        overflowing rho'^-(f+1), where the other methods print 100."""
+        code = main(["price", "--spot", "100", "--extremum", "100", "--sigma",
+                     "325.79936930779445", "--rate", "0", "--tau", "0.06532231456178274",
+                     "--side", "call", "--n", "5", "--method", "reduced"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "ModelError"
+
     @pytest.mark.parametrize("p_base", ["1e-300", "1e-100"])
     def test_cdf_bench_past_the_expansion_float_range_exits_2(self, capsys, p_base):
         code = main(["cdf-bench", "--n", "100", "--p-base", p_base, "--p-drift", "0",

@@ -580,7 +580,7 @@ class TestReducedBothSides:
 
 
 def _v3_spread(market: MarketState, n: int, side: str) -> float:
-    """About the spread that ``_reduced_weights`` weighs against
+    """About the spread that ``_reduced_terms`` weighs against
     ``GL_MAX_SPREAD``: the width of V3's interval [w, 1 - w'], formed by
     subtraction, times the largest |d/dt log pmf_{n-1,t}(j3)| on it; -1
     where j3 < 0."""
@@ -883,16 +883,19 @@ class TestPriceBackwardInduction:
             got = [price_backward_induction(m, n, side) for m, side in cases for n in ns]
             assert got == want, f"block {block}"
 
+    @pytest.mark.parametrize("sigma", [0.01, 1e-8, 1e-14, 1e-300])
     @pytest.mark.parametrize("side,extremum", [("call", 1.0), ("put", 1e4)])
-    def test_far_start_level_is_banded(self, side, extremum):
+    def test_far_start_level_is_banded(self, side, extremum, sigma):
         """spot/extremum = 100 at sigma = 0.01, tau = 1e-4 puts the start
-        2,059,494 levels up at n = 2000, beyond any absorption.  The tree
-        holds only the 2n + 1 levels within n of the start and steps the
-        2t + 1 of them within t of it at time t, so it takes milliseconds
-        (unbanded, 2e6 cells for 2000 steps) and matches the closed
-        sum."""
-        market = MarketState(spot=100.0, extremum=extremum, sigma=0.01, rate=0.05,
-                             tau=1e-4)
+        2,059,494 levels up at n = 2000, beyond any absorption, and the
+        smaller sigma put it up to 2e304 levels up, past 2^53, where
+        binary64 levels are no longer integers.  The tree holds only the
+        2n + 2 levels from f - n - 1 to f + n and steps the 2t + 1 of them
+        within t of the start at time t, so it takes milliseconds
+        (unbanded, 2e6 cells for 2000 steps at sigma = 0.01) and matches
+        the closed sum."""
+        market = MarketState(spot=100.0, extremum=extremum, sigma=sigma,
+                             rate=0.05 if sigma >= 0.01 else 0.0, tau=1e-4)
         start = time.perf_counter()
         got = price_backward_induction(market, 2000, side)
         elapsed = time.perf_counter() - start

@@ -269,7 +269,7 @@ def _t1_reduced_specs():
     specs = []
     for n in range(2, 302):
         par = lattice.tree_params(market, n, "call")
-        specs += lattice._reduced_specs(par)
+        specs += [spec for spec, _ in lattice._reduced_terms(market, par)[1]]
     return specs
 
 
@@ -380,7 +380,7 @@ class TestBinomCdfs:
         # count in a call of its own, against the entries of the price
         market = MarketState(spot=80.0, extremum=extremum, sigma=0.2, rate=rate, tau=1.27)
         par = lattice.tree_params(market, n, side)
-        specs = lattice._reduced_specs(par)
+        specs = [spec for spec, _ in lattice._reduced_terms(market, par)[1]]
         held = {}
         for m, p, j, upper in specs:
             kernel_calls.clear()
