@@ -33,9 +33,7 @@ to stderr.  Rows are emitted in ascending-n order.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -218,13 +216,9 @@ def _format_number(value: float) -> str:
 
 
 def _render_csv(schema: str, header: Sequence[str], rows: Sequence[tuple]) -> str:
-    buffer = io.StringIO()
-    buffer.write(f"# schema: {schema}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_number(v) for v in row])
-    return buffer.getvalue()
+    lines = [f"# schema: {schema}", ",".join(header),
+             *(",".join(map(_format_number, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _render_json(schema: str, header: Sequence[str], rows: Sequence[tuple]) -> str:

@@ -53,7 +53,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, ModelError
+from .errors import BudgetError, DomainError, LookbackError, ModelError
 from .numerics import (
     GL_MAX_SPREAD, _binom_pmf_log_vec, _check_binom_args, _pmf_consts, as_index, binom_cdfs,
     expm1_ratio, gl_mean, log1p_ratio,
@@ -237,8 +237,15 @@ def _payoffs(levels: np.ndarray, s: float) -> np.ndarray:
 def _signed_price(par: TreeParams, spot: float, value: float) -> float:
     """The price from the call arrangement's value per unit spot: clamped
     to spot, a call's exact bound (the payoff S_T - min is at most S_T; a
-    negated put lies below it), then times the sign of s."""
-    return math.copysign(1.0, par.s) * min(spot * value, spot)
+    negated put lies below it), then times the sign of s.  A price below
+    0, the lower no-arbitrage bound of both sides, is refused with
+    ModelError: the reduced form's terms cancel to it where s is large
+    or r tau/n is near s (a call priced at -23.2 on a spot of 100)."""
+    sign = math.copysign(1.0, par.s)
+    if sign * value < 0.0:
+        raise ModelError(f"price {sign * spot * value:.6g} is below 0, its no-arbitrage bound: "
+                         f"the terms cancel past their precision at n={par.n}, s={par.s:.6g}")
+    return sign * min(spot * value, spot)
 
 
 def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
@@ -485,7 +492,9 @@ def price_closed_reduced(market: MarketState, n: int, side: Side) -> float:
     induction at n = 500 both stay within 8.8e-15 for every r from 0
     through 1e-14, 1e-13, ..., 1e-1 to 0.3.  A call is clamped to spot,
     as in ``price_closed``, should the sum round past it where it tends
-    to spot.
+    to spot.  Where the terms cancel below 0 (at s >= 9, and at
+    r tau/n near s) the price is refused with ModelError by
+    ``_signed_price``.
     """
     return price_closed_reduced_grid(market, (n,), side)[0]
 
@@ -504,21 +513,32 @@ def price_closed_reduced_grid(market: MarketState, n_values: Sequence[int],
     its result, read in order; it is the same, bit for bit, as when
     priced alone.  Per n the grid keeps its ``TreeParams``, the constant
     and the terms until the call returns, and ``binom_cdfs`` a record per
-    walk.  An n that ``tree_params``, the weights or the CDFs refuse
-    raises what the loop of single prices would raise, before any CDF is
-    summed.
+    walk.  Refusals come in grid order, as from the loop of single
+    prices.  Planning stops at the first n that ``tree_params``, the
+    weights or the CDFs' checks refuse; the n before it are priced, and
+    the first of them whose price ``_signed_price`` refuses as below its
+    no-arbitrage bound raises, else the planning refusal does.  A grid
+    refused in planning at its first n sums no CDF.
     """
-    plans = []
+    plans, refusal = [], None
     for n in n_values:
-        par = tree_params(market, n, side)
-        # the first spec's check, made where a loop of single prices makes it
-        _check_binom_args(par.n, par.q_adj)
-        plans.append((par, *_reduced_terms(market, par)))
+        try:
+            par = tree_params(market, n, side)
+            # the first spec's check, made where a loop of single prices makes it
+            _check_binom_args(par.n, par.q_adj)
+            plans.append((par, *_reduced_terms(market, par)))
+        except LookbackError as exc:
+            # the prices before it may still be refused first
+            refusal = exc
+            break
     cdf = iter(binom_cdfs(spec for _, _, terms in plans for spec, _ in terms))
     # zip stops at the end of the terms, so each price takes its own results
-    return [_signed_price(par, market.spot,
-                          math.fsum((constant, *(wt * v for (_, wt), v in zip(terms, cdf)))))
-            for par, constant, terms in plans]
+    prices = [_signed_price(par, market.spot,
+                            math.fsum((constant, *(wt * v for (_, wt), v in zip(terms, cdf)))))
+              for par, constant, terms in plans]
+    if refusal is not None:
+        raise refusal
+    return prices
 
 
 def _reduced_terms(market: MarketState, par: TreeParams) -> tuple[float, tuple[tuple, ...]]:
@@ -671,7 +691,8 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     walk.  No per-step discounting: the adjusted weights already price
     relative to the spot numeraire (q_adj + (1 - q_adj) = 1 absorbs
     e^{-r tau/n}), so the price is simply spot times the start-level
-    expectation.
+    expectation, a convex combination of payoffs below 1: the clamp and
+    the bound refusal of ``_signed_price`` never act on it.
     """
     par = tree_params(market, n, side)
     if n > TREE_MAX_N:
@@ -692,4 +713,4 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     # levels f - m .. f + m at time m; before time m no path reaches
     # level 0, so they step to the start, cell m, without ghosts
     col = col[2 * lane - 1:lane * (2 * m + 2):lane].copy()
-    return math.copysign(market.spot, s) * float(_step_back(col, 1, False, m, m - 1, 0, *w)[m])
+    return _signed_price(par, market.spot, float(_step_back(col, 1, False, m, m - 1, 0, *w)[m]))

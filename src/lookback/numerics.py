@@ -18,8 +18,8 @@ lgamma difference loses ~5 digits.  Away from the mean the error grows
 to about z sd ulps at z sd out, because the means n p and n (1 - p) are
 rounded to floats and bd0(x, m) moves by about (x - m) dm / m: 1.9e-13
 at (n, p, k) = (578742, 0.5063, 296073) and 6.4e-13 at (960681, 0.4732,
-458544), both about 8 sd out.  Carrying the means exactly is item 6 of
-ROADMAP.md.
+458544), both about 8 sd out.  Carrying the means exactly is the
+ROADMAP.md item "Binomial means carried exactly in the pmf kernel".
 
 Every pmf the package evaluates comes from the one kernel
 ``_binom_pmf_log_vec``: ``binom_pmf_log`` is one entry of it and
@@ -38,15 +38,20 @@ other sum is at most about 1/2, and forming 1 - T rounds once, by at
 most an ulp.  A walk stops once a geometric bound puts everything left
 below 2^-60 of its partial sum.
 
-A walk's first chunk is sized from where it starts: to the index at
-which the pmf has fallen 2^-60 below its first term, judged from the
-log pmf's slope at both ends of the chunk (``_first_chunk``).  For a
+Every chunk of a walk, first or later, is sized from the index where it
+starts: to the index at which the pmf has fallen 2^-60 below the
+chunk's first term, judged from the log pmf's slope at both ends of the
+chunk (``_first_chunk``), and clipped to the walk's index range.  For a
 start z sd past the mean that is about (sqrt(z^2 + 120 log 2) - z) sd
 terms: 9.1 sd at the mean, 2.0 sd at z = 20.  Every walk of 2,222
 random sums (n from 10 to 1e6, p from 1e-3 to 0.999, j within 30 sd),
 of 3,588 sums at n p from 1 to 50, and of a grid of 51,700 sums at n
 from 1 to 1e8 ended in its first chunk.  A walk that does not goes on
-in chunks of ceil(12 sd + 10) terms, which also cap the first.
+in later chunks sized the same way from their own first indices, so the
+chunks of a walk that starts near the mean shrink as it goes out.  No
+chunk is capped: its sizing parabola bounds it by about 4.6 sqrt(n)
+terms (``_first_chunk``), and on a grid of n from 1 to 1e9, n p from
+1e-3 to 100 and walks out to 40 sd none passes ceil(12 sd + 10).
 
 A vectorised pmf call of a few hundred terms is mostly fixed numpy
 cost, so ``binom_cdfs`` sums many CDFs from few kernel calls, and
@@ -125,12 +130,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # memory.
 CDF_MAX_N = 10**9
 
-# CDF walks: the most terms in one chunk, 12 sd + 10 (the pad covers the
-# Poisson-like tails of small n p (1 - p)); the relative size below which
-# a tail is left unsummed, and its log; the terms a first chunk holds past
-# the index its sizing gives.
-_CHUNK_SD = 12.0
-_CHUNK_PAD = 10.0
+# CDF walks: the relative size below which a tail is left unsummed, and
+# its log; the terms a chunk holds past the index its sizing gives.
 _TAIL_REL = 2.0**-60
 _TAIL_LOG = 60.0 * math.log(2.0)
 _FIRST_CHUNK_PAD = 2
@@ -432,12 +433,13 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
     an upper sum with j + 1 > n p.  A sum on the other side holds the
     bulk and is returned as 1 - T, with T the opposite sum at the same j
     walked as above; T is at most about 1/2, since the median is
-    floor(np) or ceil(np).  The walk's first chunk holds
-    ``_first_chunk`` terms, and each later one ceil(12 sd + 10), clipped
-    to the support.  It stops after a chunk whose last index a leaves a
-    tail that cannot reach 2^-60 of the partial sum.  The step ratio
-    r_k = pmf(k + step) / pmf(k) is k (1-p) / ((n-k+1) p) going down and
-    (n-k) p / ((k+1) (1-p)) going up.  The first grows with k and the
+    floor(np) or ceil(np).  Each chunk of the walk, first or later,
+    holds the ``_first_chunk`` terms sized from its own first index,
+    clipped to the walk's index range.  The walk stops after a chunk
+    whose last index a leaves a tail that cannot reach 2^-60 of the
+    partial sum.  The step ratio r_k = pmf(k + step) / pmf(k) is
+    k (1-p) / ((n-k+1) p) going down and (n-k) p / ((k+1) (1-p)) going
+    up.  The first grows with k and the
     second shrinks, so along either walk r_k never increases, and it is
     below 1 from the start, past the mean: the unsummed tail is at most
     the geometric series t_a (r_a + r_a^2 + ...) = t_a r_a / (1 - r_a).
@@ -536,8 +538,8 @@ def _run_walks(segments: list[list], out: list[float]) -> None:
                 if end == len(walk) or (ratio < 1.0 and
                                         summed[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
                     break
-                summed = [*summed,
-                          *_chunk_terms([(n, p, walk[end:end + _chunk_cap(n, p)])]).tolist()]
+                rest = walk[end:]
+                summed = [*summed, *_chunk_terms([(n, p, rest[:_first_chunk(n, p, rest)])]).tolist()]
             out[slot] = 1.0 - partial if flip else min(partial, 1.0)
         offset += b - a
 
@@ -549,16 +551,11 @@ def _step_ratio(n: int, p: float, k: int, step: int) -> float:
     return (n - k) * p / ((k + 1) * (1.0 - p))
 
 
-def _chunk_cap(n: int, p: float) -> int:
-    """Terms in a walk's later chunks, and the most in its first:
-    ceil(12 sd + 10)."""
-    return math.ceil(_CHUNK_SD * math.sqrt(n * p * (1.0 - p)) + _CHUNK_PAD)
-
-
 def _first_chunk(n: int, p: float, walk: range) -> int:
     """Terms in the first chunk of a walk, from the slope and curvature of
     the log pmf where it starts, checked against the slope where the
-    chunk ends.
+    chunk ends.  A walk that goes on sizes each later chunk as the first
+    of the rest of its walk.
 
     Along the walk from a, the log pmf falls by D(m) after m steps.  Its
     slope lam(m) = -log r_{a + m step} grows with m (the step ratios
@@ -575,6 +572,12 @@ def _first_chunk(n: int, p: float, walk: range) -> int:
     (1 - r) / r, which move the stop by a term or so; a pad of two terms
     covers them.  With a pad of one, 8 of the 51,700 grid sums of the
     module docstring needed a second chunk; with two, none did.
+
+    No cap is needed.  The parabola's m is at most sqrt(2 L / kap), and
+    kap >= 4 (n + 1) / (n + 2)^2, its least value, at a = n/2, so m is at
+    most about sqrt(L n / 2) = 4.6 sqrt(n) before the trapezoid step.
+    ``test_chunk_length_stays_bounded`` holds the result at or below
+    ceil(12 sd + 10), the cap it once had, on a grid of 35,956 walks.
     """
     a = walk[0]
     # lam = -log r_a, inf where the next term is 0
@@ -589,7 +592,7 @@ def _first_chunk(n: int, p: float, walk: range) -> int:
         short = _TAIL_LOG - m * (lam + lam_end) / 2.0
         if short > 0.0:
             m += short / lam_end
-    return min(math.ceil(m) + _FIRST_CHUNK_PAD, _chunk_cap(n, p))
+    return math.ceil(m) + _FIRST_CHUNK_PAD
 
 
 def _chunk_terms(chunks: list[tuple[int, float, range]]) -> np.ndarray:

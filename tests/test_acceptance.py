@@ -46,6 +46,7 @@ from lookback import (
 )
 from lookback.cli import TABLE_MARKETS, TABLE_N_VALUES, cmd_cdf_bench, cmd_table
 
+from .markets import J0_GRID
 from .oracles import expansion_coeffs_at_emission, walk_level_paths
 from .quadrature import QuadratureSpec, appendix_identity_check, uspensky_cdf
 
@@ -105,8 +106,6 @@ FIGURE5_ANCHORS = {
     100: 26.32139249,
     400: 26.35271248,
 }
-
-J0_GRID = (0.0, 0.3, 1.0, 1.6, 2.0, 3.7)
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str) -> None:

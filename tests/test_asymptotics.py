@@ -23,17 +23,10 @@ from lookback import (
 )
 from lookback.errors import DomainError
 
+from .markets import SMALL_RATES, T1, T2, T3, T4
 from .oracles import expansion_coeffs_at_emission, expansion_coeffs_mp
 
-T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
-T2 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.0, tau=1.27)
-T3 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.08, tau=1.27)
-T4 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.0, tau=1.27)
 TABLE_GRID = (1000, 5000, 10000, 50000, 100000)
-
-# r = 0, every power of ten from 1e-14 to 1e-1, and 0.3
-SMALL_RATES = [0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-09, 1e-08, 1e-07, 1e-06,
-               1e-05, 0.0001, 0.001, 0.01, 0.1, 0.3]
 
 
 class TestKappaN:

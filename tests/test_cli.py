@@ -11,7 +11,7 @@ import os
 import jsonschema
 import pytest
 
-from lookback import MarketState, bs_price, expansion_coeffs, expansion_price
+from lookback import bs_price, expansion_coeffs, expansion_price
 from lookback import cli
 from lookback.cli import (
     RunConfig,
@@ -25,7 +25,7 @@ from lookback.cli import (
 )
 from lookback.errors import BudgetError, DomainError
 
-T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
+from .markets import T1
 
 
 def _config(**overrides) -> RunConfig:
@@ -311,6 +311,21 @@ class TestMainErrors:
         code = main(["price", "--spot", "100", "--extremum", "100", "--sigma",
                      "325.79936930779445", "--rate", "0", "--tau", "0.06532231456178274",
                      "--side", "call", "--n", "5", "--method", "reduced"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "ModelError"
+
+    @pytest.mark.parametrize("market", [
+        ["--extremum", "0.052350084557848446", "--sigma", "8.81057726899749", "--rate",
+         "0.6729320088219917", "--tau", "9.005464675884113", "--side", "call"],
+        ["--extremum", "100", "--sigma", "0.5", "--rate", "0.4999999995", "--tau", "1",
+         "--side", "put"],
+    ])
+    def test_reduced_below_its_no_arbitrage_bound_exits_2(self, capsys, market):
+        """Where the reduced form's terms cancel below 0 (a call at s = 26.4
+        priced -23.2, a put at r tau/n just below s priced -6.9e-6) it
+        refuses, where closed and tree print 100 and 1.888e-8."""
+        code = main(["price", "--spot", "100", *market, "--n", "1", "--method", "reduced"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
         assert json.loads(captured.err)["error"] == "ModelError"

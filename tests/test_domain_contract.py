@@ -75,6 +75,12 @@ def _outcome(price_fn):
 # tree_params does yet
 @example(case=(MarketState(spot=100.0, extremum=100.0, sigma=325.79936930779445, rate=0.0,
                            tau=0.06532231456178274), "call", 5))
+# the reduced form's terms cancel below 0: a call at s = 26.4, and a put
+# at emission with r tau/n just below s
+@example(case=(MarketState(spot=100.0, extremum=0.052350084557848446, sigma=8.81057726899749,
+                           rate=0.6729320088219917, tau=9.005464675884113), "call", 1))
+@example(case=(MarketState(spot=100.0, extremum=100.0, sigma=0.5, rate=0.4999999995, tau=1.0),
+               "put", 1))
 def test_prices_are_finite_and_bounded_or_refused(case):
     market, side, n = case
     _bounded_prices(market, side, n, bs=lambda: bs_price(market, side))

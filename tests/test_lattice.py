@@ -31,6 +31,7 @@ from lookback import lattice, numerics
 from lookback.cli import TABLE_N_VALUES
 from lookback.errors import BudgetError, DomainError, LookbackError, ModelError
 
+from .markets import J0_GRID, SMALL_RATES, TABLE_SIDES, T1, T2, T3, T4
 from .oracles import (
     closed_sum_mp,
     dense_backward_induction,
@@ -38,19 +39,6 @@ from .oracles import (
     walk_level_paths,
     walk_price,
 )
-
-T1 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.08, tau=1.27)
-T2 = MarketState(spot=80.0, extremum=60.0, sigma=0.2, rate=0.0, tau=1.27)
-T3 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.08, tau=1.27)
-T4 = MarketState(spot=80.0, extremum=100.0, sigma=0.2, rate=0.0, tau=1.27)
-
-TABLE_SIDES = [(T1, "call"), (T2, "call"), (T3, "put"), (T4, "put")]
-
-# r = 0, every power of ten from 1e-14 to 1e-1, and 0.3
-SMALL_RATES = [0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-09, 1e-08, 1e-07, 1e-06,
-               1e-05, 0.0001, 0.001, 0.01, 0.1, 0.3]
-
-J0_GRID = (0.0, 0.3, 1.0, 1.6, 2.0, 3.7)
 
 # Exactly zero, or anywhere down to 1e-14: one formula serves every rate.
 rate_strategy = st.one_of(
@@ -690,6 +678,19 @@ class TestReducedGrid:
                 price_closed_reduced(market, n, "call")
         with pytest.raises(type(loop.value)) as grid:
             price_closed_reduced_grid(market, ns, "call")
+        assert str(grid.value) == str(loop.value)
+
+    @pytest.mark.parametrize("ns", [(1, 0), (2, 1, 10**9 + 1), (1, 5.5)])
+    def test_bound_refusal_before_a_later_refused_n(self, ns):
+        """On the put at emission with r tau/n just below s, n = 1 prices
+        below 0, which is refused only once its CDFs are summed; an n
+        after it that tree_params or the CDFs refuse does not pre-empt it."""
+        market = MarketState(spot=100.0, extremum=100.0, sigma=0.5, rate=0.4999999995, tau=1.0)
+        with pytest.raises(ModelError, match="below 0") as loop:
+            for n in ns:
+                price_closed_reduced(market, n, "put")
+        with pytest.raises(ModelError) as grid:
+            price_closed_reduced_grid(market, ns, "put")
         assert str(grid.value) == str(loop.value)
 
 

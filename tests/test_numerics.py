@@ -313,13 +313,13 @@ class TestBinomCdfs:
         assert got == _one_at_a_time(specs)
 
     # The sized first chunk ends every sum these tests meet, so to reach a
-    # later chunk they cut it to 16 terms; sums of two or three terms end
-    # there anyway, as their range runs out.
+    # later chunk they cut every chunk to 16 terms; sums of two or three
+    # terms end in the first anyway, as their range runs out.
     def test_walk_goes_on_past_its_first_chunk(self, kernel_calls, monkeypatch):
         monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 16)
         specs = [(1000, 0.5, 400, False), (10, 0.5, 1, False), (999, 0.4, 997, True)]
         got = binom_cdfs(specs)
-        assert kernel_calls == [(20, True), (200, False)]
+        assert kernel_calls == [(20, True)] + [(16, False)] * 4
         assert got == _one_at_a_time(specs)
 
     # Walks of one (n, p) whose first chunks overlap or touch sum from one
@@ -352,10 +352,31 @@ class TestBinomCdfs:
         specs = [(1000, 0.5, 400, False), (1000, 0.5, 401, False), (1000, 0.5, 395, None),
                  (1000, 0.5, 599, True)]
         got = binom_cdfs(specs)
-        # one packed call over 17 + 16 entries, then each walk's later chunk
+        # one packed call over 17 + 16 entries, then each walk's later chunks
         assert kernel_calls[0] == (33, True)
-        assert [packed for _, packed in kernel_calls[1:]] == [False] * 3
+        assert [packed for _, packed in kernel_calls[1:]] == [False] * 12
         assert got == _one_at_a_time(specs)
+
+    def test_chunk_length_stays_bounded(self):
+        # every chunk is sized from where it starts, with no cap: on a grid
+        # of n from 1 to 1e9, n p from 1e-3 to 100 and n/2, on both sides
+        # of 1/2, and walks from the mean out to 40 sd, no chunk passes
+        # ceil(12 sd + 10) terms; a walk from just past a mean n p near 1
+        # (0.56 or 1.78) reaches it exactly
+        walks = 0
+        for n in sorted({round(10 ** (k / 2)) for k in range(19)}):
+            for mean in [10 ** (k / 4) for k in range(-12, 9)] + [n / 2]:
+                for p in {mean / n, 1.0 - mean / n} if mean < n else ():
+                    mu, sd = n * p, math.sqrt(n * p * (1.0 - p))
+                    cap = math.ceil(12.0 * sd + 10.0)
+                    for z in range(41):
+                        up = math.floor(mu) + 1 + math.floor(z * sd)
+                        down = math.ceil(mu) - 1 - math.floor(z * sd)
+                        for walk in (range(up, n + 1), range(down, -1, -1)):
+                            if walk and (walk[0] - mu) * walk.step > 0:
+                                walks += 1
+                                assert numerics._first_chunk(n, p, walk) <= cap, (n, p, walk)
+        assert walks > 30_000
 
     def test_lone_segment_passes_the_cap(self, kernel_calls):
         # a down walk from n/2 - 1 and an up walk from n/2 + 1, bridged
@@ -505,9 +526,9 @@ class TestBinomCdfsAgainstMpmath:
     @pytest.mark.parametrize("short_first_chunk", [False, True])
     def test_poisson_like_tails(self, kernel_calls, monkeypatch, short_first_chunk):
         # at n p = 10 the log pmf falls slower than a parabola above the
-        # mean; the sized first chunk still ends every sum, and cut to 8
-        # terms it leaves both walks of a check going on, each into one
-        # later chunk of its own
+        # mean; the sized first chunk still ends every sum, and with every
+        # chunk cut to 8 terms both walks of a check go on, each into up
+        # to four later chunks of its own
         if short_first_chunk:
             monkeypatch.setattr(numerics, "_first_chunk", lambda n, p, walk: 8)
         calls = []
@@ -515,7 +536,7 @@ class TestBinomCdfsAgainstMpmath:
             kernel_calls.clear()
             self._check(1_000_000, 1e-5, j, 1e-14)
             calls.append(len(kernel_calls))
-        assert max(calls) == (3 if short_first_chunk else 1)
+        assert max(calls) == (9 if short_first_chunk else 1)
 
 
 class TestCdfMaxN:
