@@ -68,6 +68,7 @@ __all__ = [
     "TreeParams",
     "PathCount",
     "TREE_MAX_N",
+    "CLOSED_MAX_N",
     "tree_params",
     "path_count",
     "iter_path_counts",
@@ -89,6 +90,11 @@ LEVEL_SNAP = 1e-9
 # figure5 grid 2..N of reduced prices sums O(sqrt(n)) pmf terms for each
 # n, about O(N^1.5) in all (2.8e6 pmf entries at N = 5000).
 TREE_MAX_N = 5000
+
+# Largest n of ``price_closed``, which holds a pmf row of n + 1 floats
+# and a few arrays as long: at n = 1e7 a price takes 5.6 s and 1.15 GB
+# peak RSS on a 2-CPU x86 VM.
+CLOSED_MAX_N = 10**7
 
 # Steps of the tree whose slice views are built together, so that a step
 # pays only for its ufunc calls; 32 to 256 time the same.
@@ -256,8 +262,10 @@ def tree_params(market: MarketState, n: int, side: Side) -> TreeParams:
     q are assembled from expm1/sinh differences so that e.g.
     2q - 1 = O(sqrt(tau/n)) keeps full relative precision at n = 1e5
     (u + d - 2 computed directly would lose nine digits).  The three
-    pricers call this first, so it is where n is refused with DomainError
-    unless it is an integer (``numerics.as_index``) and n >= 1.
+    pricers call this first, so it is where n is refused: with
+    DomainError unless it is an integer (``numerics.as_index``) and
+    n >= 1, and with ModelError past the float range, where
+    ``as_index`` refuses an integer above the largest float.
     """
     n = as_index(n, "n")
     if n < 1:
@@ -388,8 +396,13 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
     bound (the payoff S_T - min is at most S_T): where it tends to spot,
     at sigma sqrt(tau) of 15 to 25, the sums round up to 4.4e-16 relative
     past it.
+
+    n above ``CLOSED_MAX_N`` is refused with BudgetError once
+    ``tree_params`` has checked it, before any array is allocated.
     """
     par = tree_params(market, n, side)
+    if n > CLOSED_MAX_N:
+        raise BudgetError(f"price_closed is limited to n <= {CLOSED_MAX_N}, got {n}")
     s = par.s
     floor = par.j0_floor
     log_pmf = _binom_pmf_log_vec(np.arange(n + 1, dtype=np.int64),
@@ -612,33 +625,34 @@ def _reduced_terms(market: MarketState, par: TreeParams) -> tuple[float, tuple[t
     return constant, terms
 
 
-def _step_back(col: np.ndarray, lane: int, ghosts: bool, start: int, top: int, end: int,
+def _step_back(col: np.ndarray, lane: int, start: int, top: int,
                w_up: np.float64, w_dn: np.float64) -> np.ndarray:
-    """Step ``col``, the values at time top + 1, back to time ``end`` and
+    """Step ``col``, the values at time top + 1, back to time 0 and
     return the array that then holds them.
 
-    The step to time t writes the window [lane, start + lane t + 1) with
-    ghosts and [start - t, start + t + 1) without, each cell becoming
-    w_up x[i + lane] + w_dn x[i - lane]; with ghosts, cells 0 .. lane - 1
-    take the value of cell lane first.  A window's cells read only cells
-    of the window one step later, or ghosts.  Each block of _TREE_BLOCK
-    steps builds its views once, for both ping-pong directions, over the
-    window of its largest t, so a step costs the ghost copy and three
-    ufunc calls.  The cells that the block's later steps write outside
-    their own windows are read by no cell inside them; both arrays start
-    as copies of the same finite values, so those cells stay finite too.
+    The step to time t first gives cells 0 .. lane - 1 the value of cell
+    lane, then writes the window [max(lane, start - lane t),
+    start + lane t + 1), each cell becoming w_up x[i + lane] +
+    w_dn x[i - lane].  A window's cells read only cells of the window one
+    step later, or ghosts, and a ghost only where the window one step
+    later starts at lane.  Each block of _TREE_BLOCK steps builds its
+    views once, for both ping-pong directions, over the window of its
+    largest t, so a step costs the ghost copy and three ufunc calls.  The
+    cells that the block's later steps write outside their own windows
+    are read by no cell inside them; both arrays start as copies of the
+    same finite values, so those cells stay finite too.
     """
     # Two arrays take turns as source and target, so the loop allocates
     # nothing: fresh per-step temporaries land on whatever alignment
     # malloc gives them, and their speed varied by 1.6x with it.
     new, scratch = col.copy(), np.empty_like(col)
-    for t in range(top, end - 1, -_TREE_BLOCK):
-        lo, hi = (lane if ghosts else start - t), start + lane * t + 1
+    for t in range(top, -1, -_TREE_BLOCK):
+        lo, hi = max(lane, start - lane * t), start + lane * t + 1
         tmp = scratch[lo:hi]
-        views = [(src[:lane if ghosts else 0], src[lane:lane + 1], dst[lo:hi],
+        views = [(src[:lane], src[lane:lane + 1], dst[lo:hi],
                   src[lo + lane:hi + lane], src[lo - lane:hi - lane])
                  for src, dst in ((col, new), (new, col))]
-        steps = min(_TREE_BLOCK, t - end + 1)
+        steps = min(_TREE_BLOCK, t + 1)
         for k in range(steps):
             ghost, g0, out, up, dn = views[k & 1]
             ghost[...] = g0
@@ -655,29 +669,31 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
 
     f = j0_floor and m = min(f, n).  At time t (t steps after the start)
     only levels within t of the start can reach it, so each step updates
-    a window of cells that holds those levels; ``_step_back`` runs every
-    window.  Absorption takes f + 1 down moves, so no path reaches level
-    0 before time f, and from a start with f >= n none ever does.
+    a window of cells that holds those levels; one ``_step_back`` call
+    runs every window, from time n - 1 down to the start.  Absorption
+    takes f + 1 down moves, so no path reaches level 0 before time f, and
+    from a start with f >= n none ever does.
 
     Every start holds the levels f - m - 1 .. f + n of its own set in one
-    column, below them a ghost cell, and steps it with ghosts from time
-    n - 1 down to m.  A fractional start below n has two level sets: G
-    over the integer levels an absorbed path can end on, and F over the
-    fractional levels j0_frac + g; at time t the start reaches G_0 ..
-    G_{t-f-1} and F_{max(0, f-t)} .. F_{f+t}.  Its column interleaves
-    them in lane 2, G_g at 2(g + 1) and F_g at 2(g + 1) + 1.  A down move
-    from integer 0 stays at 0 and one from F_0 is absorbed at 0, so both
-    ghost cells 0 and 1 hold G_0, and every cell steps by
-    new[i] = w_up x[i+2] + w_dn x[i-2] over the window [2, 2(f + t + 2)).
-    The window also holds G_{t-f} .. G_{f+t}, which no path from the
-    start reaches; they read only G cells, and no reachable cell reads
-    them.  Every other start holds its one set in lane 1: an integer
-    start below n the levels -1 .. f + n, stepped over G_0 .. G_{f+t};
-    any start with f >= n the levels f - n - 1 .. f + n, with no step to
-    take.  At time m the levels f - m .. f + m of the start's lane are
-    copied out once and stepped alone to the start, 2t + 1 of them at
-    time t and no ghosts.  In all a fractional start below n steps about
-    n^2 + 2fn - 2f^2 cells, where G and F end to end in one column would
+    column, below them a ghost cell.  A fractional start below n has two
+    level sets: G over the integer levels an absorbed path can end on,
+    and F over the fractional levels j0_frac + g; at time t the start
+    reaches G_0 .. G_{t-f-1} and F_{max(0, f-t)} .. F_{f+t}.  Its column
+    interleaves them in lane 2, G_g at 2(g + 1) and F_g at 2(g + 1) + 1.
+    A down move from integer 0 stays at 0 and one from F_0 is absorbed at
+    0, so both ghost cells 0 and 1 hold G_0, and every cell steps by
+    new[i] = w_up x[i+2] + w_dn x[i-2].  Every other start holds its one
+    set in lane 1: an integer start below n the levels -1 .. f + n, and a
+    start with f >= n the levels f - n - 1 .. f + n, whose ghost no
+    window reads.
+
+    The start sits at cell lane (m + 2) - 1, and the step to time t
+    writes the cells from max(lane, start - lane t) to start + lane t:
+    the start's levels within t of it, down to G_0 from time f on.  A
+    fractional start's window also holds G_{|f-t|} .. G_{f+t}, which no
+    path from the start reaches; they read only G cells, and no reachable
+    cell reads them.  In all a fractional start below n steps about
+    n^2 + 2fn - f^2 cells, where G and F end to end in one column would
     step n + t + 2 a step, about 1.5 n^2; an integer start below n about
     n(f + n/2) - f^2/2; and a start with f >= n about n^2.  G's unreached
     cells run up to level f + n, below F's top level, so ``_payoffs``
@@ -709,8 +725,6 @@ def price_backward_induction(market: MarketState, n: int, side: Side) -> float:
     lane = 2 if 0.0 < frac and floor < n else 1
     levels = np.add.outer(np.arange(floor - m - 1, floor + n + 1, dtype=np.float64),
                           (0.0, frac)[2 - lane:]).ravel()
-    col = _step_back(_payoffs(levels, s), lane, True, lane * (m + 2) - 1, n - 1, m, *w)
-    # levels f - m .. f + m at time m; before time m no path reaches
-    # level 0, so they step to the start, cell m, without ghosts
-    col = col[2 * lane - 1:lane * (2 * m + 2):lane].copy()
-    return _signed_price(par, market.spot, float(_step_back(col, 1, False, m, m - 1, 0, *w)[m]))
+    start = lane * (m + 2) - 1
+    col = _step_back(_payoffs(levels, s), lane, start, n - 1, *w)
+    return _signed_price(par, market.spot, float(col[start]))

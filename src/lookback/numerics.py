@@ -102,11 +102,12 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, ModelError
 
 __all__ = [
     "std_normal_cdf",
@@ -251,11 +252,17 @@ def gl_mean(f: Callable[[float], float], half: float) -> float:
 
 def as_index(value: object, name: str) -> int:
     """value as an int if ``operator.index`` takes it (numpy integers pass;
-    5.0, 5.5, "7" and None do not), else DomainError naming it."""
+    5.0, 5.5, "7" and None do not), else DomainError naming it.  An
+    integer of magnitude above the largest float, whose float evaluation
+    would raise OverflowError, is refused with ModelError naming it."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if abs(index) > sys.float_info.max:
+        raise ModelError(f"{name} overflows a float: need |{name}| <= {sys.float_info.max:.6g}, "
+                         f"got an integer of {index.bit_length()} bits")
+    return index
 
 
 def _check_binom_args(n: int, p: float) -> None:

@@ -338,6 +338,15 @@ class TestMainErrors:
         assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
         assert json.loads(captured.err)["error"] == "ModelError"
 
+    def test_n_past_the_float_range_exits_2(self, capsys):
+        """n = 10^400 exited 1 with an OverflowError traceback."""
+        code = main(["price", "--spot", "80", "--extremum", "60", "--sigma", "0.2", "--rate",
+                     "0.08", "--tau", "1.27", "--side", "call", "--n", str(10**400),
+                     "--method", "expansion"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "ModelError"
+
     def test_bs_put_where_power_overflows_exits_0(self, capsys):
         code = main(["price", "--spot", "1", "--extremum", "1e100", "--sigma",
                      "0.2", "--rate", "0.08", "--tau", "1.27", "--side", "put",

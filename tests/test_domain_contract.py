@@ -6,12 +6,15 @@ only to a finite value or LookbackError.  The CDF layer keeps the same
 contract over the whole (n, p) domain: every CDF and pmf lies in
 [0, 1], and the CDF and complementary expansions are finite or
 refused.  Over a draw that reaches small steps and emission, the three
-lattice pricers also agree where the README says they do."""
+lattice pricers also agree where the README says they do.  An integer
+argument past the float range is refused by every entry point that
+takes it."""
 
 from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,13 +28,19 @@ from lookback import (
     complementary_expansion,
     expansion_coeffs,
     expansion_price,
+    iter_path_counts,
+    kappa_n,
+    path_count,
     price_backward_induction,
     price_closed,
     price_closed_reduced,
+    tree_params,
 )
 from lookback.binom_expansion import SequenceCoeffs
 from lookback.cli import cmd_cdf_bench
-from lookback.errors import LookbackError
+from lookback.errors import LookbackError, ModelError
+
+from .markets import T1
 
 
 def _log_uniform(lo: float, hi: float) -> st.SearchStrategy[float]:
@@ -182,3 +191,33 @@ def test_cdf_layer_is_finite_and_bounded_or_refused(args, j_rule, seq):
     if rows is not None:
         (_, exact, *rest), = rows
         assert 0.0 <= exact <= 1.0 and all(map(math.isfinite, rest)), (args, j_rule, rows)
+
+
+# Each entry point that takes an integer n (or j), called at n; none of
+# them iterates, so iter_path_counts must refuse at the call.
+PAST_FLOAT_RANGE_CALLS = {
+    "tree_params": lambda n: tree_params(T1, n, "call"),
+    "price_closed": lambda n: price_closed(T1, n, "call"),
+    "price_closed_reduced": lambda n: price_closed_reduced(T1, n, "call"),
+    "price_backward_induction": lambda n: price_backward_induction(T1, n, "call"),
+    "kappa_n": lambda n: kappa_n(T1, n, "call"),
+    "expansion_price": lambda n: expansion_price(expansion_coeffs(T1, "call"), n),
+    "cdf_expansion": lambda n: cdf_expansion(n, 0.5, 3),
+    "iter_path_counts": lambda n: iter_path_counts(0.0, n),
+    "path_count": lambda n: path_count(0.0, 1.0, 1, n),
+    "binom_cdfs_j": lambda j: binom_cdfs([(10, 0.5, j, True)]),
+}
+
+
+@pytest.mark.parametrize("n", [2**1024 - 2**970, 10**400], ids=["2^1024-2^970", "10^400"])
+@pytest.mark.parametrize("name", PAST_FLOAT_RANGE_CALLS)
+def test_integers_past_the_float_range_are_refused(name, n):
+    """2^1024 - 2^970, the least integer that rounds up to inf, and 10^400
+    raised a raw OverflowError from the first float evaluation of n, or
+    were not refused at all; ``as_index`` refuses them with ModelError."""
+    with pytest.raises(ModelError, match="overflows a float"):
+        PAST_FLOAT_RANGE_CALLS[name](n)
+
+
+def test_largest_power_of_two_in_the_float_range_is_accepted():
+    assert tree_params(T1, 2**1023, "call").n == 2**1023

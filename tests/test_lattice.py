@@ -8,6 +8,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -402,6 +403,19 @@ class TestPriceClosed:
         ref = walk_price(market.spot, Fraction(par.j0), n, par.w_up, s, side)
         got = price_closed(market, n, side)
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("n", [lattice.CLOSED_MAX_N + 1, 10**12])
+    def test_budget(self, n):
+        """Past CLOSED_MAX_N the closed sum refuses before it allocates its
+        pmf row (80 MB at the cap, 7.3 TiB at 10^12)."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                price_closed(T1, n, "call")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _closed_sum_mp(market: MarketState, n: int, side: str):
@@ -852,11 +866,13 @@ class TestPriceBackwardInduction:
         every level from 0 up in plain Python: emission, integer and
         fractional starts, starts just below and above n, and starts no
         path can be absorbed from.  From n = block - 1 on, n sits just
-        below, at and just above a block of steps and past two of them,
-        and the switch at t = f of an integer or fractional start to its
-        cells within t of the start alone falls at a block's edge (n - f
-        a multiple of the block) or inside one; f = block - 1 and n - 1
-        give those cells one block or more of their own."""
+        below, at and just above a block of steps and past two of them.
+        Time f, where an integer or fractional start's window stops
+        reaching down to G_0 and holds only the cells within t of the
+        start, falls at a block's edge (n - f a multiple of the block) or
+        inside one, so one block's views may span both sides of it; f =
+        block - 1 and n - 1 give the narrower windows one block or more
+        of their own."""
         sigma, tau = 0.3, 0.5
         block = lattice._TREE_BLOCK
         grid = [(n, (0, 3, 2.4, n - 0.5, n, n + 1.75, 2 * n + 0.5)) for n in range(1, 41)]
@@ -908,9 +924,9 @@ class TestPriceBackwardInduction:
     @pytest.mark.parametrize("n,offset", [(5, 0.5), (40, 3.0), (40, 17.25), (301, 1.75)])
     def test_band_edge_near_the_start(self, side, n, offset):
         """Start levels just above n, which no path can be absorbed
-        from: the column holds levels f - n .. f + n with no ghost cells,
-        and its lowest cell, a few levels above 0, is read only by the
-        first backward step."""
+        from: the column holds levels f - n - 1 .. f + n, its lowest a
+        ghost cell that no window reads, and the cell above it, a few
+        levels above 0, is read only by the first backward step."""
         sigma, tau = 0.2, 1.27
         ratio = math.exp((n + offset) * sigma * math.sqrt(tau / n))
         market = MarketState(spot=80.0, extremum=80.0 / ratio if side == "call"
