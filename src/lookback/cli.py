@@ -25,9 +25,11 @@ numbers carry 10 significant digits.  JSON output is
 {"schema": <id>, "rows": [{column: value, ...}, ...]} and validates
 against the shipped schemas/cli_output.schema.json.
 
-Exit status: 0 success, 2 domain or model error, 3 budget error.
-Errors print a one-line JSON record {"error": <class>, "message": ...}
-to stderr.  Rows are emitted in ascending-n order.
+Exit status: 0 success, 2 domain or model error (an --out path that
+cannot be written included), 3 budget error.  Errors print a one-line
+JSON record {"error": <class>, "message": ...} to stderr, except
+argparse's own usage errors, which print its usage text and exit 2.
+Rows are emitted in ascending-n order.
 """
 
 from __future__ import annotations
@@ -93,20 +95,24 @@ TABLE_MARKETS: dict[str, tuple[MarketState, Side]] = {
 }
 
 
-def _check_grid(grid: Sequence[int], name: str, lowest: int, user: str) -> list[int]:
-    """grid as a list of ints.  DomainError unless it is nonempty, integer,
-    strictly increasing and at least ``lowest``; BudgetError if it runs
-    past the cap ``_GRID_CAPS`` sets for ``user``, a method or subcommand."""
-    grid = [as_index(n, "n") for n in grid]
+def _check_grid(grid: Sequence[int], name: str, lowest: int, user: str) -> Sequence[int]:
+    """grid as a sequence of ints: an increasing range as it is, read by
+    its ends without being built, anything else as a list.  DomainError
+    unless it is nonempty, integer, strictly increasing and at least
+    ``lowest``; BudgetError if it runs past the cap ``_GRID_CAPS`` sets
+    for ``user``, a method or subcommand."""
+    if not (isinstance(grid, range) and grid.step > 0):
+        grid = [as_index(n, "n") for n in grid]
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError(f"{name} must be strictly increasing, got {tuple(grid)}")
     if not grid:
         raise DomainError(f"{name} must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"{name} must be strictly increasing, got {tuple(grid)}")
-    if grid[0] < lowest:
-        raise DomainError(f"{name} must be >= {lowest}, got {grid[0]}")
+    first, last = as_index(grid[0], "n"), as_index(grid[-1], "n")
+    if first < lowest:
+        raise DomainError(f"{name} must be >= {lowest}, got {first}")
     cap = _GRID_CAPS.get(user, math.inf)
-    if grid[-1] > cap:
-        raise BudgetError(f"{name} for {user!r} is limited to n <= {cap}, got {grid[-1]}")
+    if last > cap:
+        raise BudgetError(f"{name} for {user!r} is limited to n <= {cap}, got {last}")
     return grid
 
 
@@ -116,7 +122,7 @@ class RunConfig:
 
     market: MarketState
     side: Side
-    n_values: tuple[int, ...]
+    n_values: Sequence[int]
     method: Method
 
     def __post_init__(self) -> None:
@@ -252,18 +258,23 @@ def _emit(
         # zero and rewritten starts a writeback of its blocks, so every
         # rewrite of an existing output waited on the disk (about 40 us,
         # with stalls of milliseconds when the disk is busy).
-        fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                handle.truncate()
+        try:
+            fd = os.open(output_path, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    handle.truncate()
+        except OSError as exc:  # a missing directory, a directory, no permission, a full disk
+            raise DomainError(f"cannot write --out: {exc}") from None
 
 
-def _n_values_arg(text: str) -> tuple[int, ...]:
+def _n_values_arg(text: str) -> Sequence[int]:
+    """A comma list as a tuple, an a..b grid as a range, so that a long
+    grid is checked by its ends before anything is built."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         return tuple(int(token) for token in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(

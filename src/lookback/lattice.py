@@ -55,8 +55,8 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, LookbackError, ModelError
 from .numerics import (
-    GL_MAX_SPREAD, _binom_pmf_log_vec, _check_binom_args, _pmf_consts, as_index, binom_cdfs,
-    expm1_ratio, gl_mean, log1p_ratio,
+    GL_MAX_SPREAD, _check_binom_args, _chunk_terms, as_index, binom_cdfs, expm1_ratio, gl_mean,
+    log1p_ratio,
 )
 
 # Unused here; perfbench/spans.py wraps these names on this module.
@@ -86,9 +86,10 @@ Side = Literal["call", "put"]
 # below any economically meaningful level difference.
 LEVEL_SNAP = 1e-9
 
-# Largest n of the O(n^2) tree, and of closed and figure5 on the CLI.  A
-# figure5 grid 2..N of reduced prices sums O(sqrt(n)) pmf terms for each
-# n, about O(N^1.5) in all (2.8e6 pmf entries at N = 5000).
+# Largest n of the O(n^2) tree, of the path counts, and of closed and
+# figure5 on the CLI.  A figure5 grid 2..N of reduced prices sums
+# O(sqrt(n)) pmf terms for each n, about O(N^1.5) in all (2.8e6 pmf
+# entries at N = 5000).
 TREE_MAX_N = 5000
 
 # Largest n of ``price_closed``, which holds a pmf row of n + 1 floats
@@ -342,12 +343,16 @@ def iter_path_counts(j0: float, n: int) -> Iterator[PathCount]:
     The three class ranges are pairwise disjoint in (j, k), including for
     integer j0 where unabsorbed levels are themselves integers.  The
     arguments are checked at the call, before the first cell is asked for.
+    The cells take O(n^2) exact binomials of O(n) digits, so n above
+    ``TREE_MAX_N`` is refused with BudgetError.
     """
     n = as_index(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0.0 <= j0 < math.inf:
         raise DomainError(f"j0 must be finite and nonnegative, got {j0}")
+    if n > TREE_MAX_N:
+        raise BudgetError(f"iter_path_counts is limited to n <= {TREE_MAX_N}, got {n}")
     return _path_counts(j0, n)
 
 
@@ -405,8 +410,7 @@ def price_closed(market: MarketState, n: int, side: Side) -> float:
         raise BudgetError(f"price_closed is limited to n <= {CLOSED_MAX_N}, got {n}")
     s = par.s
     floor = par.j0_floor
-    log_pmf = _binom_pmf_log_vec(np.arange(n + 1, dtype=np.int64),
-                                 _pmf_consts([(n, par.w_up)])[:, 0])
+    log_pmf = _chunk_terms([(n, par.w_up, range(n + 1))])
 
     # k below n - (n+f)/2 cannot stay unabsorbed; for j0 > n no path is
     # ever absorbed and every k >= 0 is plain binomial

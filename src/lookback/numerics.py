@@ -22,10 +22,13 @@ at (n, p, k) = (578742, 0.5063, 296073) and 6.4e-13 at (960681, 0.4732,
 ROADMAP.md item "Binomial means carried exactly in the pmf kernel".
 
 Every pmf the package evaluates comes from the one kernel
-``_binom_pmf_log_vec``: ``binom_pmf_log`` is one entry of it and
-``binom_pmf`` a one-spec ``binom_cdfs`` call, so a lone scalar call pays
-its fixed numpy cost (0.1 to 0.2 ms on a 2-CPU x86 VM); many terms go to
-``binom_cdfs`` together.
+``_binom_pmf_log_vec`` through its one entry, ``_chunk_terms``, which
+forms the kernel's (n, p) constants and returns log terms: the CDF walks
+take their exponentials, ``binom_pmf_log`` is a one-entry call,
+``price_closed``'s row a one-chunk call, and ``binom_pmf`` a one-spec
+``binom_cdfs`` call.  So a lone scalar call pays its fixed numpy cost
+(0.1 to 0.2 ms on a 2-CPU x86 VM); many terms go to ``binom_cdfs``
+together.
 
 The binomial CDFs sum O(sqrt(n)) of these terms, not O(n).  Each sum
 walks away from the mean n p on its short side.  A lower sum P(X <= j)
@@ -103,7 +106,7 @@ import bisect
 import math
 import operator
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -275,11 +278,11 @@ def _check_binom_args(n: int, p: float) -> None:
 
 
 def binom_pmf_log(n: int, p: float, k: int) -> float:
-    """log[ C(n,k) p^k (1-p)^{n-k} ], one entry of ``_binom_pmf_log_vec``."""
+    """log[ C(n,k) p^k (1-p)^{n-k} ], a one-entry ``_chunk_terms`` call."""
     _check_binom_args(n, p)
     if not 0 <= as_index(k, "k") <= n:
         raise DomainError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
-    return float(_binom_pmf_log_vec(np.array([k], dtype=np.int64), _pmf_consts([(n, p)])[:, 0])[0])
+    return float(_chunk_terms([(n, p, range(k, k + 1))])[0])
 
 
 def binom_pmf(n: int, p: float, k: int) -> float:
@@ -355,51 +358,31 @@ def _bd0_vec(xs: np.ndarray, m: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def _pmf_consts(pairs: Sequence[tuple[int, float]]) -> np.ndarray:
-    """What log pmf(n, p, k) takes from n and p alone, one column per
-    (n, p) of pairs: n, stirlerr(n), n p, n (1 - p), and the values at
-    k = 0 and k = n."""
-    consts = np.array([(n, 0.0, n * p, n * (1.0 - p), n * math.log1p(-p), n * math.log(p))
-                       for n, p in pairs]).T
-    consts[1] = _stirlerr(consts[0])
-    return consts
-
-
 def _binom_pmf_log_vec(ks: np.ndarray, consts: Sequence) -> np.ndarray:
-    """Vectorized binom_pmf_log over an int64 array with entries in [0, n].
+    """Vectorized binom_pmf_log over an int64 array with entries in [0, n],
+    called by ``_chunk_terms`` alone.
 
-    ``consts`` holds the six fields of a ``_pmf_consts`` column, each a
-    scalar or an array aligned with ks that gives it per entry, which
-    lets one call evaluate chunks of several (n, p) at once.
+    ``consts`` holds six fields, n, stirlerr(n), n p, n (1 - p) and the
+    values at k = 0 and k = n, each a scalar or an array aligned with ks
+    that gives it per entry, which lets one call evaluate chunks of
+    several (n, p) at once.  Every entry goes through the Stirling-error
+    decomposition, with one ``_stirlerr`` call for k and n - k; at k = 0
+    and k = n that reads 0 log 0 and log(n / 0), and the values at the
+    edges are written over those entries.  An edge entry can still join
+    bd0's near branch (k = n at p > 9/11, n - k = n at p < 2/11) and so
+    lengthen the call's series, which leaves the other entries' bits
+    alone (``_bd0_series_terms``).
     """
     nf, st_n, mean_up, mean_dn, at_lo, at_hi = consts
     k = ks.astype(np.float64)
-    lo = k == 0.0
-    hi = k == nf
-    edge = lo | hi
-    if not edge.any():
-        return _log_pmf_inside(k, nf, st_n, mean_up, mean_dn)
-    out = np.empty_like(k)
-    out[lo] = _at(at_lo, lo)
-    out[hi] = _at(at_hi, hi)
-    mid = ~edge
-    out[mid] = _log_pmf_inside(k[mid], *(_at(c, mid) for c in consts[:4]))
-    return out
-
-
-def _log_pmf_inside(
-    k: np.ndarray, nf: float | np.ndarray, st_n: float | np.ndarray,
-    mean_up: float | np.ndarray, mean_dn: float | np.ndarray,
-) -> np.ndarray:
-    """log pmf at 0 < k < n by the Stirling-error decomposition; one
-    ``_stirlerr`` call gives stirlerr of k and of n - k."""
     nk = nf - k
     st = _stirlerr(np.concatenate((k, nk)))
-    return (
-        st_n - st[:k.size] - st[k.size:]
-        - _bd0_vec(k, mean_up) - _bd0_vec(nk, mean_dn)
-        + 0.5 * np.log(nf / (2.0 * np.pi * k * nk))
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (st_n - st[:k.size] - st[k.size:] - _bd0_vec(k, mean_up) - _bd0_vec(nk, mean_dn)
+               + 0.5 * np.log(nf / (2.0 * np.pi * k * nk)))
+    np.copyto(out, at_lo, where=k == 0.0)
+    np.copyto(out, at_hi, where=k == nf)
+    return out
 
 
 def binom_cdf_exact(n: int, p: float, j: int) -> float:
@@ -457,21 +440,22 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
     Every spec is checked, and its walk's index range and first chunk
     placed, before any term is summed, so a refused spec raises before any
     kernel call.  The walks are then sorted by (n, p, first index) and
-    swept into segments: the first chunks of one (n, p) that overlap or
-    touch merge into one.  Whole segments go into kernel calls in that
-    order, and a call closes before a segment that would take it past
-    ``_PACK_MAX`` entries, so only a lone segment passes the cap.  Each
-    walk sums its own slice of its call's terms, and then either stops or,
-    rarely, goes on alone, one kernel call per later chunk.  So no pmf
-    entry of a first chunk is evaluated twice, and the order of the specs
-    changes neither which entries are evaluated nor how many kernel calls
-    run.  A call pays a fixed numpy cost that dominates a chunk of a few
-    hundred terms, so a reduced price's specs at n <= 5000 take one call,
-    not one each, and a grid of such prices shares its calls as well.  The
-    terms of a call are released once it is summed; the walks are held as
+    merged, in one loop, into a list of segments: the first chunks of one
+    (n, p) that overlap or touch merge into one.  Whole segments go into
+    kernel calls in that order, and a call closes before a segment that
+    would take it past ``_PACK_MAX`` entries, so only a lone segment
+    passes the cap.  Each walk sums its own slice of its call's terms,
+    and then either stops or, rarely, goes on alone, one kernel call per
+    later chunk.  So no pmf entry of a first chunk is evaluated twice,
+    and the order of the specs changes neither which entries are
+    evaluated nor how many kernel calls run.  A call pays a fixed numpy
+    cost that dominates a chunk of a few hundred terms, so a reduced
+    price's specs at n <= 5000 take one call, not one each, and a grid of
+    such prices shares its calls as well.  The terms of a call are
+    released once it is summed; the walks and their segments are held as
     one small record each until the end.  A walk adds the same terms
-    whatever it is packed with, so the result does not depend on the other
-    specs.
+    whatever it is packed with, so the result does not depend on the
+    other specs.
     """
     out = []
     walks = []  # (n, p, first chunk's least index, its length, slot in out, walk, flipped)
@@ -494,9 +478,17 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
             first = min(_first_chunk(n, p, walk), len(walk))
         walks.append((n, p, min(walk[0], walk[first - 1]), first, len(out), walk, flip))
         out.append(math.nan)
-    walks.sort()
+    segments, segment = [], None  # each [n, p, least index, last index + 1, walks]
+    for walk in sorted(walks):
+        n, p, lo, first = walk[:4]
+        if segment and segment[0] == n and segment[1] == p and lo <= segment[3]:
+            segment[3] = max(segment[3], lo + first)
+            segment[4].append(walk)
+        else:
+            segment = [n, p, lo, lo + first, [walk]]
+            segments.append(segment)
     pack, size = [], 0  # the segments of the next kernel call, and their entries
-    for segment in _segments(walks):
+    for segment in segments:
         entries = segment[3] - segment[2]
         if pack and size + entries > _PACK_MAX:
             _run_walks(pack, out)
@@ -508,31 +500,13 @@ def binom_cdfs(specs: Iterable[tuple[int, float, int, bool | None]]) -> list[flo
     return out
 
 
-def _segments(walks: list[tuple]) -> Iterator[list]:
-    """The sorted walks swept into segments [n, p, least index, last
-    index + 1, walks]: the first chunks of one (n, p) that overlap or
-    touch, each segment yielded once no later walk can join it."""
-    segment = None
-    for walk in walks:
-        n, p, lo, first = walk[:4]
-        if segment and segment[0] == n and segment[1] == p and lo <= segment[3]:
-            segment[3] = max(segment[3], lo + first)
-            segment[4].append(walk)
-            continue
-        if segment:
-            yield segment
-        segment = [n, p, lo, lo + first, [walk]]
-    if segment:
-        yield segment
-
-
 def _run_walks(segments: list[list], out: list[float]) -> None:
     """Sum the walks of segments and write each result into its slot of
     out.  One kernel call evaluates the segments, and each walk sums its
     first chunk from a view of its segment's terms, in walk order; a
     walk that goes on past its first chunk sums each later chunk in a
     call of its own."""
-    terms = memoryview(_chunk_terms([(n, p, range(a, b)) for n, p, a, b, _ in segments]))
+    terms = memoryview(np.exp(_chunk_terms([(n, p, range(a, b)) for n, p, a, b, _ in segments])))
     offset = 0
     for n, p, a, b, walks in segments:
         for _, _, lo, first, slot, walk, flip in walks:
@@ -546,7 +520,8 @@ def _run_walks(segments: list[list], out: list[float]) -> None:
                                         summed[-1] * ratio <= _TAIL_REL * partial * (1.0 - ratio)):
                     break
                 rest = walk[end:]
-                summed = [*summed, *_chunk_terms([(n, p, rest[:_first_chunk(n, p, rest)])]).tolist()]
+                summed = [*summed,
+                          *np.exp(_chunk_terms([(n, p, rest[:_first_chunk(n, p, rest)])])).tolist()]
             out[slot] = 1.0 - partial if flip else min(partial, 1.0)
         offset += b - a
 
@@ -603,14 +578,16 @@ def _first_chunk(n: int, p: float, walk: range) -> int:
 
 
 def _chunk_terms(chunks: list[tuple[int, float, range]]) -> np.ndarray:
-    """pmf terms of the (n, p, chunk) of chunks laid end to end, from one
-    kernel call with their (n, p) constants repeated per entry.  A lone
-    chunk passes its index range and constants as they are, the kernel's
-    cheaper form.
+    """log pmf terms of the (n, p, chunk) of chunks laid end to end, from
+    one kernel call: the one entry to ``_binom_pmf_log_vec``.  It forms
+    the kernel's constants of each (n, p) and repeats them per entry; a
+    lone chunk passes its constants as scalars, which spares six arrays
+    of its length (about 480 MB for ``price_closed``'s row at its cap).
     """
     ks = [np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64) for _, _, chunk in chunks]
-    consts = _pmf_consts([(n, p) for n, p, _ in chunks])
+    consts = np.array([(n, 0.0, n * p, n * (1.0 - p), n * math.log1p(-p), n * math.log(p))
+                       for n, p, _ in chunks]).T
+    consts[1] = _stirlerr(consts[0])
     if len(chunks) == 1:
-        return np.exp(_binom_pmf_log_vec(ks[0], consts[:, 0]))
-    per_entry = np.repeat(consts, [len(k) for k in ks], axis=1)
-    return np.exp(_binom_pmf_log_vec(np.concatenate(ks), per_entry))
+        return _binom_pmf_log_vec(ks[0], consts[:, 0])
+    return _binom_pmf_log_vec(np.concatenate(ks), np.repeat(consts, [len(k) for k in ks], axis=1))

@@ -16,10 +16,11 @@ settings.load_profile("lookback")
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Log (entries, packed) for every call of the pmf kernel; a packed
-    call carries per-entry constants for two or more segments, where a
-    segment is the merged first chunks of one (n, p) that overlap or
-    touch."""
+    """Log (entries, packed) for every call of the pmf kernel, which
+    ``numerics._chunk_terms`` makes for every pmf term of the package,
+    ``price_closed``'s row included; a packed call carries per-entry
+    constants for two or more segments, where a segment is the merged
+    first chunks of one (n, p) that overlap or touch."""
     calls = []
     kernel = numerics._binom_pmf_log_vec
 

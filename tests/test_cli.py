@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -60,6 +61,16 @@ class TestRunConfig:
     def test_rejects_non_integer_n(self, method):
         with pytest.raises(DomainError):
             _config(n_values=(2.5,), method=method)
+
+    def test_range_grid_is_kept_and_checked_by_its_ends(self):
+        grid = range(2, 10**6)
+        assert cli._check_grid(grid, "n_values", 1, "reduced") is grid
+        with pytest.raises(BudgetError):
+            _config(n_values=range(1, 3 * 10**6), method="tree")
+        with pytest.raises(DomainError):
+            _config(n_values=range(0, 10))
+        with pytest.raises(DomainError):
+            _config(n_values=range(5, 3))
 
     @pytest.mark.parametrize("method", ["tree", "closed"])
     def test_per_step_methods_are_budgeted(self, method):
@@ -346,6 +357,35 @@ class TestMainErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
         assert json.loads(captured.err)["error"] == "ModelError"
+
+    def test_grid_past_the_cap_exits_3_before_it_is_built(self, capsys):
+        """An a..b grid is checked by its ends: the tree's 1..3000000 built
+        its 3e6 n first, a tracemalloc peak of 160.6 MB."""
+        tracemalloc.start()
+        try:
+            code = main(PRICE_ARGS + ["--n", "1..3000000", "--method", "tree"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "BudgetError"
+        assert peak < 1_000_000
+
+    def test_grid_end_past_the_float_range_exits_2(self, capsys):
+        code = main(PRICE_ARGS + ["--n", f"5..{10**400}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "ModelError"
+
+    @pytest.mark.parametrize("where", ["missing/rows.csv", ""], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        """--out in a missing directory exited 1 with a FileNotFoundError
+        traceback, and --out naming a directory with IsADirectoryError."""
+        code = main(PRICE_ARGS + ["--n", "2", "--out", str(tmp_path / where)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "DomainError"
 
     def test_bs_put_where_power_overflows_exits_0(self, capsys):
         code = main(["price", "--spot", "1", "--extremum", "1e100", "--sigma",

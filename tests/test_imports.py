@@ -91,3 +91,34 @@ def test_tracer_only_imports_are_bound():
                 unbound += [(module, alias.asname or alias.name) for alias in node.names
                             if (module, alias.asname or alias.name) not in bindings]
     assert unbound == []
+
+
+def _names(statement: ast.stmt):
+    """Every identifier a statement names: variables, attributes, imported
+    names and their aliases, and the definitions nested in it."""
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from (node.name, node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not statement:
+            yield node.name
+
+
+def test_pmf_kernel_has_one_entry():
+    """``_binom_pmf_log_vec`` is named, and so called or imported, only
+    inside ``numerics._chunk_terms``, the kernel's one entry; the helpers
+    folded into that entry stay gone."""
+    kernel, gone = "_binom_pmf_log_vec", {"_pmf_consts", "_log_pmf_inside", "_segments"}
+    uses, stale = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(statement, "name", "<module>")
+            names = set(_names(statement))
+            if kernel in names:
+                uses.add((path.name, owner))
+            stale += [(path.name, name) for name in sorted(gone & (names | {owner}))]
+    assert uses == {("numerics.py", "_chunk_terms")}
+    assert stale == []

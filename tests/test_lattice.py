@@ -311,6 +311,15 @@ class TestPathCounts:
         with pytest.raises(DomainError):
             path_count(1.0, 0.0, 0, 0)
 
+    @pytest.mark.parametrize("n", [lattice.TREE_MAX_N + 1, 2**1023], ids=["cap+1", "2^1023"])
+    def test_n_past_the_tree_cap_is_refused_at_the_call(self, n):
+        """The cells grow about as n^3.6 in time (3.1 s at n = 800), and at
+        2**1023 ``math.comb`` raised a raw OverflowError."""
+        with pytest.raises(BudgetError):
+            iter_path_counts(0.0, n)
+        with pytest.raises(BudgetError):
+            path_count(0.0, 1.0, 1, n)
+
     @pytest.mark.parametrize("bad", [5.0, 5.5, "7", None])
     def test_non_integer_n_and_k_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -706,6 +715,12 @@ class TestReducedGrid:
         with pytest.raises(ModelError) as grid:
             price_closed_reduced_grid(market, ns, "put")
         assert str(grid.value) == str(loop.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 500])
+def test_price_closed_takes_one_kernel_call_for_its_row(n, kernel_calls):
+    price_closed(T1, n, "call")
+    assert kernel_calls == [(n + 1, False)]
 
 
 class TestReducedPackedPass:

@@ -483,6 +483,31 @@ class TestBinomCdfs:
         assert kernel_calls == []
 
 
+class TestChunkTerms:
+    """``_chunk_terms``, the one entry to the pmf kernel."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.17, 0.83, 0.97])
+    def test_packed_edges_equal_lone_chunks_bit_for_bit(self, p):
+        """Below p = 2/11 the k = 0 entry, above 9/11 the k = n entry, joins
+        bd0's near branch, so a call that holds it may sum more series
+        terms than a call over chunks near the mean; each term is still
+        that of its chunk alone, and the edges are n log1p(-p) and n log p."""
+        chunks = [chunk for n in (12, 40, 300, 10**5)
+                  for chunk in ((n, p, range(0, 5)), (n, p, range(n - 4, n + 1)),
+                                (n, 0.5, range(n // 2 - 3, n // 2 + 4)))]
+        packed = numerics._chunk_terms(chunks)
+        lone = np.concatenate([numerics._chunk_terms([chunk]) for chunk in chunks])
+        assert packed.tobytes() == lone.tobytes()
+        at = 0
+        for n, q, chunk in chunks:
+            terms = packed[at:at + len(chunk)]
+            at += len(chunk)
+            if chunk[0] == 0:
+                assert terms[0] == n * math.log1p(-q)
+            if chunk[-1] == n:
+                assert terms[-1] == n * math.log(q)
+
+
 class TestBinomCdfsAgainstMpmath:
     """Both sums at each j against 40-digit references, on both sides of
     the mean where a sum that holds the bulk becomes one minus its short
